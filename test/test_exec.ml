@@ -403,6 +403,203 @@ let prop_float_ops_match_reference =
        in
        Float.abs (outd.(0) -. expect) <= 1e-6 *. Float.max 1.0 (Float.abs expect))
 
+(* ---------------------------------------------------------------- *)
+(* Regression pins for every registry kernel, recorded from the original
+   per-lane interpreter: the output buffer of the reference run, the
+   output under one fixed narrowed assignment (every float site two
+   format steps down, through {!Gpr_precision.Precision.quantizer}), and
+   the full warp trace with its thread-instruction count.  Any change to
+   the executor must reproduce all three digests. *)
+
+module W = Gpr_workloads.Workload
+module P = Gpr_precision.Precision
+
+let digest_floats a =
+  let buf = Buffer.create (Array.length a * 17) in
+  Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf "%Lx," (Int64.bits_of_float x))) a;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Structural digest of a trace: every field of every item, in order,
+   chained in chunks so the largest traces never build one huge string. *)
+let digest_trace (tr : T.t) =
+  let buf = Buffer.create 65536 in
+  let chain = ref (Digest.string "") in
+  let flush () =
+    chain := Digest.string (!chain ^ Buffer.contents buf);
+    Buffer.clear buf
+  in
+  let unit_tag = function Spu -> 0 | Sfu -> 1 | Ldst -> 2 | Sync -> 3 in
+  let space_tag = function Global -> 0 | Shared -> 1 | Texture -> 2 | Param -> 3 in
+  Array.iter
+    (fun (it : T.item) ->
+       Printf.bprintf buf "%d %d %d %d [%s] %s %b %d" it.t_warp it.t_block_id
+         it.t_pc (unit_tag it.t_unit)
+         (String.concat ";" (List.map string_of_int it.t_srcs))
+         (match it.t_dst with Some d -> string_of_int d | None -> "-")
+         it.t_dst_float it.t_active;
+       (match it.t_mem with
+        | None -> ()
+        | Some m ->
+          Printf.bprintf buf " m%d:" (space_tag m.m_space);
+          Array.iter (fun a -> Printf.bprintf buf "%d," a) m.m_addresses);
+       Buffer.add_char buf '\n';
+       if Buffer.length buf > 60000 then flush ())
+    tr.items;
+  Printf.bprintf buf "wpb %d blocks %d instrs %d" tr.warps_per_block
+    tr.num_blocks tr.thread_instructions;
+  flush ();
+  Digest.to_hex !chain
+
+let narrowed_quantizer (w : W.t) =
+  let sites = W.float_sites w in
+  let formats = Hashtbl.create 16 in
+  List.iter (fun (pc, _) -> Hashtbl.replace formats pc (Gpr_fp.Format_.of_level 2)) sites;
+  P.quantizer { P.formats; sites; evaluations = 0 }
+
+(* kernel, reference output, narrowed output, trace *)
+let pins = [
+  ("Deferred", "29318bd0f5eb45ea969bf39d0e17e909",
+   "ce1fcfb51236c041b30598b1f27dabbd", "58b57802ec5d3ee40175a8aaa157621e");
+  ("SSAO", "be93273212ab04e5cd36bea8eaad12e6",
+   "2724286a0fb2e586b5eae2891eb08752", "3551345e3e2c0beca647e62eafbd2e35");
+  ("Elevated", "7bd1ce0e3ba9d8dbf967f295b6dc318c",
+   "d07c8c9ef885de01fed92e03f60f72ca", "9e8cf41178c76a209ed99d997717f2e9");
+  ("Pathtracer", "4043d6b7a79271f3c349fd8f1f3f2aba",
+   "504436f998a263f2bf6b896048376db3", "7fab6c66a82dd203a73206790b523485");
+  ("CFD", "a54961657f26b975a20d9fa4650c5784",
+   "590932aeac83a6f6dea6b3002ebfa1a5", "8590de6ff0029d6594c2ec964fb9cf45");
+  ("DWT2D", "644b132755f0ae0035e54b32637a0a69",
+   "644b132755f0ae0035e54b32637a0a69", "2f6cc9ab3df608bcf8537a3917dfe814");
+  ("Hotspot", "b8387303e336582e297dea9d5905d0ce",
+   "b8387303e336582e297dea9d5905d0ce", "92d972438a1302392c2a0bae849ef6cd");
+  ("Hotspot3D", "a6480954a00dbc8f5a3525d06e0b1c87",
+   "d0ba672bfb30fd9a6d40642c7223957a", "dff4eceee03adf8380e34e159bfbc828");
+  ("IMGVF", "5d6d0c2452d6ce91e35b1eecf940c8af",
+   "2a279b63d1f0ad8509489b0006555b10", "53f000e2c0985a6a2c093db0d16fa6e7");
+  ("GICOV", "eaa0d0faf22eb00c1766fcbe0e0482d2",
+   "eb2fe56c4baeb01cd40afa14286c1915", "2a9304eb7a01266dbada1e2182d64c4f");
+  ("Hybridsort", "a2d3d2ac11e148ce56022faea92cb9a0",
+   "a2d3d2ac11e148ce56022faea92cb9a0", "3f3cb9c88d1a5e92672764087855dcf8");
+]
+
+let test_pins (name, reference, narrowed, trace) () =
+  let w = Option.get (Gpr_workloads.Registry.by_name name) in
+  Alcotest.(check string) "reference output" reference (digest_floats (W.reference w));
+  Alcotest.(check string) "narrowed output" narrowed
+    (digest_floats (W.run_quantized w ~quantize:(narrowed_quantizer w)));
+  Alcotest.(check string) "trace" trace (digest_trace (W.trace w ~quantize:None))
+
+(* ---------------------------------------------------------------- *)
+(* Errors stay run-time errors: an ill-typed immediate, a type mismatch
+   or an out-of-bounds access raises only when the instruction executes
+   with active lanes, with the interpreter's original messages. *)
+
+let vr id ty = { id; ty; name = Printf.sprintf "r%d" id }
+let tid = vr 0 S32
+let pred = vr 1 Pred
+let ri = vr 2 S32
+let rf = vr 3 F32
+
+let out_buf = { buf_id = 0; buf_name = "out"; buf_space = Global; buf_elem = S32; buf_range = None }
+
+(* block 0 branches to block 1 on lanes whose tid equals [taken] (none
+   when [taken] is out of range); block 1 holds [body]; block 2 returns. *)
+let guarded_kernel ?(taken = -1) body =
+  {
+    k_name = "bad";
+    k_blocks =
+      [| { label = 0; instrs = [| Setp (Eq, S32, pred, Reg tid, Imm_i taken) |];
+           term = Cbr (pred, 1, 2) };
+         { label = 1; instrs = body; term = Br 2 };
+         { label = 2; instrs = [||]; term = Ret } |];
+    k_params = [||];
+    k_buffers = [| out_buf |];
+    k_num_vregs = 4;
+    k_specials = [ (0, Tid_x) ];
+  }
+
+let run_guarded ?taken ?(config = E.default_config) body =
+  ignore
+    (run_kernel (guarded_kernel ?taken body) ~launch:(launch_1d ~block:32 ~grid:1)
+       ~params:[||] ~data:[ ("out", E.I_data (Array.make 32 0)) ] ~config ())
+
+let float_in_int = Failure "Exec: float immediate in integer context"
+
+let test_ill_typed_immediates () =
+  let cases =
+    [ ("ibin", [| Ibin (Add, ri, Reg ri, Imm_f 1.5) |], float_in_int);
+      ("imad", [| Imad (ri, Reg ri, Imm_f 2.0, Reg ri) |], float_in_int);
+      ("fbin", [| Fbin (Fadd, rf, Reg rf, Imm_i 3) |],
+       Failure "Exec: int immediate 3 in float context");
+      ("fbin both", [| Fbin (Fmul, rf, Imm_i 4, Imm_i 5) |],
+       Failure "Exec: int immediate 4 in float context");
+      ("ffma", [| Ffma (rf, Reg rf, Reg rf, Imm_i 6) |],
+       Failure "Exec: int immediate 6 in float context");
+      ("setp", [| Setp (Lt, F32, pred, Reg rf, Imm_i 7) |],
+       Failure "Exec: int immediate 7 in float context");
+      ("mov", [| Mov (rf, Imm_i 8) |], Failure "Exec: int immediate 8 in float context");
+      ("cvt", [| Cvt (F32_of_s32, rf, Imm_f 0.5) |], float_in_int);
+      ("st value", [| St ({ abuf = out_buf; aindex = Reg tid }, Imm_f 9.0) |],
+       float_in_int);
+      ("ld index", [| Ld (ri, { abuf = out_buf; aindex = Imm_f 0.0 }) |], float_in_int);
+    ]
+  in
+  List.iter
+    (fun (name, body, exn) ->
+       (* Never executed: silent. *)
+       run_guarded body;
+       (* Executed by one lane: the interpreter's failure. *)
+       Alcotest.check_raises name exn (fun () -> run_guarded ~taken:5 body))
+    cases
+
+let test_selp_evaluates_lazily () =
+  (* Selp reads only the selected operand: a bad immediate on the side
+     no lane selects is never evaluated. *)
+  let sel = [| Selp (ri, Reg tid, Imm_f 1.0, pred) |] in
+  let p_false = Setp (Eq, S32, pred, Reg tid, Imm_i (-1)) in
+  run_guarded ~taken:5 (Array.append [| Setp (Ge, S32, pred, Reg tid, Imm_i 0) |] sel);
+  Alcotest.check_raises "selected" float_in_int (fun () ->
+      run_guarded ~taken:5 (Array.append [| p_false |] sel))
+
+let test_store_checks_bounds_before_value () =
+  (* A store checks its index before it evaluates its value. *)
+  let oob = [| St ({ abuf = out_buf; aindex = Imm_i 40 }, Imm_f 1.0) |] in
+  Alcotest.check_raises "oob first"
+    (Failure "bad: st out[40] out of bounds (len 32)")
+    (fun () -> run_guarded ~taken:5 oob)
+
+let test_memory_errors () =
+  let ld = [| Ld (ri, { abuf = out_buf; aindex = Imm_i 32 }) |] in
+  Alcotest.check_raises "ld oob" (Failure "bad: ld out[32] out of bounds (len 32)")
+    (fun () -> run_guarded ~taken:3 ld);
+  let ld_f = [| Ld (rf, { abuf = out_buf; aindex = Reg tid }) |] in
+  run_guarded ld_f;
+  Alcotest.check_raises "load type" (Failure "bad: load type mismatch") (fun () ->
+      run_guarded ~taken:3 ld_f);
+  let tex = { out_buf with buf_space = Texture } in
+  let k = guarded_kernel ~taken:3 [| St ({ abuf = tex; aindex = Reg tid }, Reg ri) |] in
+  let k = { k with k_buffers = [| tex |] } in
+  Alcotest.check_raises "texture store"
+    (Failure "bad: store to read-only texture space") (fun () ->
+        ignore
+          (run_kernel k ~launch:(launch_1d ~block:32 ~grid:1) ~params:[||]
+             ~data:[ ("out", E.I_data (Array.make 32 0)) ] ()))
+
+let test_budget_on_empty_loop () =
+  let k =
+    { (guarded_kernel [||]) with
+      k_name = "spin";
+      k_blocks = [| { label = 0; instrs = [||]; term = Br 1 };
+                    { label = 1; instrs = [||]; term = Br 0 } |] }
+  in
+  Alcotest.check_raises "budget"
+    (Failure "spin: step budget of 1000 thread instructions exceeded")
+    (fun () ->
+       ignore
+         (run_kernel k ~launch:(launch_1d ~block:32 ~grid:1) ~params:[||]
+            ~data:[ ("out", E.I_data (Array.make 32 0)) ]
+            ~config:{ E.default_config with max_steps = Some 1000 } ()))
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~verbose:false in
   Alcotest.run "exec"
@@ -432,5 +629,19 @@ let () =
           Alcotest.test_case "trace contents" `Quick test_trace_contents;
           Alcotest.test_case "oob raises" `Quick test_out_of_bounds_raises;
         ] );
+      ( "run-time errors",
+        [
+          Alcotest.test_case "ill-typed immediates" `Quick test_ill_typed_immediates;
+          Alcotest.test_case "selp evaluates lazily" `Quick test_selp_evaluates_lazily;
+          Alcotest.test_case "store bounds before value" `Quick
+            test_store_checks_bounds_before_value;
+          Alcotest.test_case "memory errors" `Quick test_memory_errors;
+          Alcotest.test_case "budget on empty loop" `Quick test_budget_on_empty_loop;
+        ] );
+      ( "pins",
+        List.map
+          (fun ((name, _, _, _) as pin) ->
+             Alcotest.test_case name `Quick (test_pins pin))
+          pins );
       ("props", [ q prop_float_ops_match_reference ]);
     ]
