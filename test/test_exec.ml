@@ -535,6 +535,12 @@ let test_ill_typed_immediates () =
        Failure "Exec: int immediate 4 in float context");
       ("ffma", [| Ffma (rf, Reg rf, Reg rf, Imm_i 6) |],
        Failure "Exec: int immediate 6 in float context");
+      ("ffma all", [| Ffma (rf, Imm_i 10, Imm_i 11, Imm_i 12) |],
+       Failure "Exec: int immediate 12 in float context");
+      ("setp both", [| Setp (Lt, F32, pred, Imm_i 13, Imm_i 14) |],
+       Failure "Exec: int immediate 14 in float context");
+      ("selp both", [| Selp (rf, Imm_i 15, Imm_i 16, pred) |],
+       Failure "Exec: int immediate 15 in float context");
       ("setp", [| Setp (Lt, F32, pred, Reg rf, Imm_i 7) |],
        Failure "Exec: int immediate 7 in float context");
       ("mov", [| Mov (rf, Imm_i 8) |], Failure "Exec: int immediate 8 in float context");
