@@ -19,60 +19,61 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 (* 32-bit semantics helpers *)
 
-let wrap_s32 x =
+let[@inline] wrap_s32 x =
   let y = x land 0xffff_ffff in
   if y >= 0x8000_0000 then y - 0x1_0000_0000 else y
 
-let wrap_u32 x = x land 0xffff_ffff
+let[@inline] wrap_u32 x = x land 0xffff_ffff
 
-let f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+let[@inline] f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
-let ftoi_trunc x =
+let[@inline] ftoi_trunc x =
   if Float.is_nan x then 0
   else if x >= 2147483647.0 then 2147483647
   else if x <= -2147483648.0 then -2147483648
   else int_of_float (Float.trunc x)
 
-let ftou_trunc x =
+let[@inline] ftou_trunc x =
   if Float.is_nan x then 0
   else if x >= 4294967295.0 then 4294967295
   else if x <= 0.0 then 0
   else int_of_float (Float.trunc x)
 
 (* ------------------------------------------------------------------ *)
-(* Static instruction numbering *)
+(* Per-kernel memo tables *)
 
-(* Memoised per kernel (physical identity): [static_pc] is called from
-   hot per-value hooks, and recomputing the O(instructions) walk on
-   every call dominated profiles.  A short bounded association list is
-   enough — callers work on a handful of kernels at a time.  The cache
-   is domain-local so worker domains of the execution engine never
-   contend (or race) on it; each domain warms its own copy. *)
-let pc_cache_key : (kernel * (int array * int)) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* Memoised per kernel (physical identity), in a short bounded
+   association list: callers work on a handful of kernels at a time.
+   The tables are domain-local so worker domains of the execution engine
+   never contend (or race) on them; each domain warms its own copy.
+   [valid] re-checks an entry against the kernel's current blocks. *)
+let kernel_memo ?(valid = fun _ _ -> true) f =
+  let limit = 8 in
+  let key = Domain.DLS.new_key (fun () -> ref []) in
+  fun kernel ->
+    let cache = Domain.DLS.get key in
+    match List.assq_opt kernel !cache with
+    | Some r when valid kernel r -> r
+    | _ ->
+      let r = f kernel in
+      cache :=
+        (kernel, r)
+        :: List.filteri (fun i (k, _) -> i < limit - 1 && k != kernel) !cache;
+      r
 
-let pc_cache_limit = 8
-
-let pc_bases kernel =
-  let pc_cache = Domain.DLS.get pc_cache_key in
-  match List.assq_opt kernel !pc_cache with
-  | Some r -> r
-  | None ->
-    let n = Array.length kernel.k_blocks in
-    let bases = Array.make n 0 in
-    let acc = ref 0 in
-    for b = 0 to n - 1 do
-      bases.(b) <- !acc;
-      acc := !acc + Array.length kernel.k_blocks.(b).instrs
-    done;
-    let r = (bases, !acc) in
-    let kept =
-      if List.length !pc_cache >= pc_cache_limit then
-        List.filteri (fun i _ -> i < pc_cache_limit - 1) !pc_cache
-      else !pc_cache
-    in
-    pc_cache := (kernel, r) :: kept;
-    r
+(* Static instruction numbering.  [static_pc] is called from hot
+   per-value hooks, and recomputing the O(instructions) walk on every
+   call dominated profiles. *)
+let pc_bases =
+  kernel_memo (fun kernel ->
+      let n = Array.length kernel.k_blocks in
+      let bases = Array.make n 0 in
+      let acc = ref 0 in
+      for b = 0 to n - 1 do
+        bases.(b) <- !acc;
+        acc := !acc + Array.length kernel.k_blocks.(b).instrs
+      done;
+      (bases, !acc))
 
 let static_pc kernel ~block ~idx = fst (pc_bases kernel) |> fun b -> b.(block) + idx
 
@@ -123,7 +124,281 @@ let bindings_for kernel ~data ?(shared = []) () =
     kernel.k_buffers
 
 (* ------------------------------------------------------------------ *)
-(* Warp state *)
+(* Decoded program
+
+   Each static instruction is decoded once per kernel into an [op] whose
+   operands are offsets into a warp's register file: register [r] of
+   lane [l] lives at [r.id * 32 + l] of the int or the float file,
+   depending on the context that reads it.  Immediates live in constant
+   slots after the registers (one 32-lane slot per distinct value, so a
+   lane loop reads registers and constants alike from one flat array). *)
+
+type load_kind = Load_int | Load_float | Load_never
+
+type op =
+  | Int_bin of ibinop * bool * int * int * int  (** op, unsigned, d, a, b *)
+  | Int_un of iunop * bool * int * int
+  | Int_mad of bool * int * int * int * int
+  | Flt_bin of fbinop * int * int * int
+  | Flt_un of funop * int * int
+  | Flt_fma of int * int * int * int
+  | Cmp_int of cmpop * bool * int * int * int  (** op, unsigned, p, a, b *)
+  | Cmp_flt of cmpop * int * int * int
+  | Sel_int of int * int * int * int  (** d, a, b, p *)
+  | Sel_flt of int * int * int * int
+  | Sel_checked of int * string option * string option * op
+      (** a [Sel_*] with an ill-typed immediate: predicate offset, the
+          failure of selecting each side, the op with a dummy operand *)
+  | Mov_int of int * int
+  | Mov_flt of int * int
+  | Cvt_to_flt of bool * int * int  (** unsigned source, d, a *)
+  | Cvt_to_int of bool * int * int  (** unsigned result, d, a *)
+  | Cvt_int of bool * int * int
+  | Load of int * load_kind * int * int  (** buffer, kind, d, index *)
+  | Store of int * int * int * int * string option * string option
+      (** buffer, index, int value, float value, and the failure of
+          reading the value in each context *)
+  | Param of int * load_kind * int  (** parameter, kind, d *)
+  | Sync
+  | Fail of string  (** raises when executed *)
+
+type site = {
+  pc : int;
+  op : op;
+  bar : bool;
+  def : vreg;  (** register written, for [on_write] *)
+  unit : unit_class;
+  srcs : int list;      (** shared by every trace item of the site *)
+  dst : int option;
+  dst_float : bool;
+}
+
+type term = T_br of int | T_cbr of int * int * int | T_ret
+
+type program = {
+  blocks : site array array;
+  terms : term array;
+  ipdom : int array;  (** reconvergence block, -1 = none *)
+  iconsts : int array;
+  fconsts : float array;
+  clear_i : int array;  (** register offsets to clear per CTA, int file *)
+  clear_f : int array;
+  source : (instr array * terminator) array;  (** what was decoded *)
+}
+
+(* The interpreter's operand reads, in its evaluation order, for an
+   instruction that has an ill-typed immediate: decoding runs them to
+   learn which [Failure] the instruction raises once it executes. *)
+let read_i = function
+  | Imm_f _ -> failwith "Exec: float immediate in integer context"
+  | Reg _ | Imm_i _ -> 0
+
+let read_f = function
+  | Imm_i c -> failwith (Printf.sprintf "Exec: int immediate %d in float context" c)
+  | Reg _ | Imm_f _ -> 0.0
+
+let operand_failure ins =
+  match
+    (match ins with
+     | Ibin (_, _, a, b) -> let x = read_i a and y = read_i b in ignore (x + y)
+     | Iun (_, _, a) | Cvt ((F32_of_s32 | F32_of_u32 | S32_of_u32 | U32_of_s32), _, a)
+     | Ld (_, { aindex = a; _ }) | St ({ aindex = a; _ }, _) -> ignore (read_i a)
+     | Imad (_, a, b, c) -> ignore ((read_i a * read_i b) + read_i c)
+     | Fbin (_, _, a, b) -> let x = read_f a and y = read_f b in ignore (x +. y)
+     | Fun (_, _, a) | Cvt ((S32_of_f32 | U32_of_f32), _, a) -> ignore (read_f a)
+     | Ffma (_, a, b, c) -> ignore ((read_f a *. read_f b) +. read_f c)
+     | Setp (_, ty, _, a, b) ->
+       if ty = F32 then ignore (compare (read_f a) (read_f b))
+       else ignore (compare (read_i a) (read_i b))
+     | Mov (d, a) -> if d.ty = F32 then ignore (read_f a) else ignore (read_i a)
+     | Selp _ | Ld_param _ | Bar | Phi _ | Pi _ -> ())
+  with
+  | () -> None
+  | exception Failure msg -> Some msg
+
+let failure_of read op = match read op with _ -> None | exception Failure m -> Some m
+
+let decode kernel =
+  let nvr = kernel.k_num_vregs in
+  let bases, _ = pc_bases kernel in
+  let intern tbl key v list =
+    match Hashtbl.find_opt tbl key with
+    | Some slot -> slot
+    | None ->
+      let slot = nvr + Hashtbl.length tbl in
+      Hashtbl.add tbl key slot;
+      list := v :: !list;
+      slot
+  in
+  let itbl = Hashtbl.create 16 and ilist = ref [] in
+  let ftbl = Hashtbl.create 16 and flist = ref [] in
+  let reg (r : vreg) =
+    if r.id < 0 || r.id >= nvr then
+      invalid_arg
+        (Printf.sprintf "Exec.run: %s: vreg %d out of range" kernel.k_name r.id);
+    r.id * 32
+  in
+  (* Which file each register is read from and written to, for the
+     per-CTA clearing below. *)
+  let read = [| Array.make nvr false; Array.make nvr false |] in
+  let untracked = Array.make nvr false in
+  let written = Array.make nvr 0 in  (* bit 0: int file, bit 1: float file, 4: neither *)
+  let rd file (r : vreg) =
+    let o = reg r in
+    read.(file).(r.id) <- true;
+    if r.ty = Pred then untracked.(r.id) <- true;
+    o
+  in
+  let wr file (r : vreg) =
+    let o = reg r in
+    written.(r.id) <- written.(r.id) lor (1 lsl file);
+    o
+  in
+  (* Offsets of an operand read in int / float context; an ill-typed
+     immediate gets offset 0, and its op never reads it. *)
+  let oi = function
+    | Reg r -> rd 0 r
+    | Imm_i c -> 32 * intern itbl c c ilist
+    | Imm_f _ -> 0
+  in
+  let of_ = function
+    | Reg r -> rd 1 r
+    | Imm_f c ->
+      let v = f32 c in
+      32 * intern ftbl (Int64.bits_of_float v) v flist
+    | Imm_i _ -> 0
+  in
+  let kind (d : vreg) =
+    match d.ty with S32 | U32 -> Load_int | F32 -> Load_float | Pred -> Load_never
+  in
+  let wr_kind (d : vreg) =
+    match kind d with Load_int -> wr 0 d | Load_float -> wr 1 d | Load_never -> wr 2 d
+  in
+  let decode_op ins =
+    match ins with
+    | Phi _ | Pi _ ->
+      Fail (kernel.k_name ^ ": SSA-only instruction in executable kernel")
+    | St ({ abuf; _ }, _) when abuf.buf_space = Texture ->
+      Fail (kernel.k_name ^ ": store to read-only texture space")
+    | _ ->
+      match ins, operand_failure ins with
+      | (Selp _ | St _), _ | _, None ->
+        (match ins with
+         | Ibin (op, d, a, b) -> Int_bin (op, d.ty = U32, wr 0 d, oi a, oi b)
+         | Iun (op, d, a) -> Int_un (op, d.ty = U32, wr 0 d, oi a)
+         | Imad (d, a, b, c) -> Int_mad (d.ty = U32, wr 0 d, oi a, oi b, oi c)
+         | Fbin (op, d, a, b) -> Flt_bin (op, wr 1 d, of_ a, of_ b)
+         | Fun (op, d, a) -> Flt_un (op, wr 1 d, of_ a)
+         | Ffma (d, a, b, c) -> Flt_fma (wr 1 d, of_ a, of_ b, of_ c)
+         | Setp (op, ty, p, a, b) ->
+           if ty = F32 then Cmp_flt (op, wr 0 p, of_ a, of_ b)
+           else Cmp_int (op, ty = U32, wr 0 p, oi a, oi b)
+         | Selp (d, a, b, p) ->
+           let float = d.ty = F32 in
+           let sel =
+             if float then Sel_flt (wr 1 d, of_ a, of_ b, rd 0 p)
+             else Sel_int (wr 0 d, oi a, oi b, rd 0 p)
+           in
+           let failure op =
+             if float then failure_of read_f op else failure_of read_i op
+           in
+           (match failure a, failure b with
+            | None, None -> sel
+            | fa, fb -> Sel_checked (rd 0 p, fa, fb, sel))
+         | Mov (d, a) ->
+           if d.ty = F32 then Mov_flt (wr 1 d, of_ a) else Mov_int (wr 0 d, oi a)
+         | Cvt (op, d, a) ->
+           (match op with
+            | F32_of_s32 | F32_of_u32 -> Cvt_to_flt (op = F32_of_u32, wr 1 d, oi a)
+            | S32_of_f32 | U32_of_f32 -> Cvt_to_int (op = U32_of_f32, wr 0 d, of_ a)
+            | S32_of_u32 | U32_of_s32 -> Cvt_int (op = U32_of_s32, wr 0 d, oi a))
+         | Ld (d, { abuf; aindex }) -> Load (abuf.buf_id, kind d, wr_kind d, oi aindex)
+         | St ({ abuf; aindex }, v) ->
+           (match failure_of read_i aindex with
+            | Some m -> Fail m
+            | None ->
+              Store (abuf.buf_id, oi aindex, oi v, of_ v, failure_of read_i v,
+                     failure_of read_f v))
+         | Ld_param (d, i) -> Param (i, kind d, wr_kind d)
+         | Bar -> Sync
+         | Phi _ | Pi _ -> assert false)
+      | _, Some msg -> Fail msg
+  in
+  let no_def = { id = -1; ty = Pred; name = "" } in
+  let blocks =
+    Array.map
+      (fun blk ->
+         Array.mapi
+           (fun i ins ->
+              let def = defs ins in
+              let dst, dst_float =
+                match def with
+                | Some d when d.ty <> Pred -> (Some d.id, d.ty = F32)
+                | _ -> (None, false)
+              in
+              { pc = bases.(blk.label) + i;
+                op = decode_op ins;
+                bar = (match ins with Bar -> true | _ -> false);
+                def = Option.value def ~default:no_def;
+                unit = unit_class_of ins;
+                srcs =
+                  List.filter_map
+                    (fun (r : vreg) -> if r.ty = Pred then None else Some r.id)
+                    (uses ins);
+                dst; dst_float })
+           blk.instrs)
+      kernel.k_blocks
+  in
+  let terms =
+    Array.map
+      (fun blk ->
+         match blk.term with
+         | Br l -> T_br l
+         | Cbr (p, t, f) -> T_cbr (rd 0 p, t, f)
+         | Ret -> T_ret)
+      kernel.k_blocks
+  in
+  List.iter (fun (vid, _) -> ignore (wr 0 { id = vid; ty = S32; name = "" }))
+    kernel.k_specials;
+  let post = Gpr_analysis.Dominance.compute_post (Gpr_isa.Cfg.of_kernel kernel) in
+  let ipdom =
+    Array.init (Array.length kernel.k_blocks) (fun b ->
+        Option.value (Gpr_analysis.Dominance.ipdom post b) ~default:(-1))
+  in
+  (* A lane reads a register slot that no instruction of its own path
+     wrote earlier in the CTA only if the register is live at kernel
+     entry (a per-lane path is a CFG path), or if some definition writes
+     the other file.  Only those slots, and predicates (which liveness
+     does not track), need clearing between CTAs. *)
+  let live = Gpr_analysis.Liveness.(live_in (compute kernel) 0) in
+  let cleared file =
+    List.filter_map
+      (fun r ->
+         if read.(file).(r)
+         && (untracked.(r) || written.(r) <> 1 lsl file
+             || Gpr_analysis.Liveness.Iset.mem r live)
+         then Some (r * 32)
+         else None)
+      (List.init nvr Fun.id)
+    |> Array.of_list
+  in
+  { blocks; terms; ipdom;
+    iconsts = Array.of_list (List.rev !ilist);
+    fconsts = Array.of_list (List.rev !flist);
+    clear_i = cleared 0; clear_f = cleared 1;
+    source = Array.map (fun blk -> (blk.instrs, blk.term)) kernel.k_blocks }
+
+(* A kernel whose blocks were replaced since it was decoded is decoded
+   again rather than run from a stale program. *)
+let program =
+  kernel_memo decode ~valid:(fun kernel p ->
+      Array.length p.source = Array.length kernel.k_blocks
+      && Array.for_all2
+           (fun (instrs, term) blk -> instrs == blk.instrs && term == blk.term)
+           p.source kernel.k_blocks)
+
+(* ------------------------------------------------------------------ *)
+(* Run state *)
 
 type frame = {
   rpc : int;  (* reconvergence block, -1 = none *)
@@ -134,638 +409,680 @@ type frame = {
 
 type warp = {
   wid : int;
-  valid : int;           (* lanes that started (last warp may be partial) *)
-  regs_i : int array;    (* vreg r, lane l at r*32 + l *)
-  regs_f : float array;
+  valid : int;  (* lanes that started (last warp may be partial) *)
+  ibase : int;  (* this warp's slice of [st.ri] / [st.rf] *)
+  fbase : int;
   mutable stack : frame list;
   mutable exited : int;
 }
 
-type status = Barrier | Finished
+(* One run's state, shared by the lane loops.  The register files of
+   all warps of a CTA live in [ri] and [rf], allocated once per run and
+   re-zeroed per CTA; the constant slots after each warp's registers
+   are filled once. *)
+type state = {
+  prog : program;
+  kernel : kernel;
+  ri : int array;
+  rf : float array;
+  params : pvalue array;
+  storage : storage array;  (* global bindings and this CTA's shared arrays *)
+  addr_base : int array;    (* byte address base per buffer *)
+  race : (int array * int array * int array) option array;
+  quantize : (int -> float -> float) option;
+  on_write : (int -> vreg -> pvalue -> pvalue) option;
+  on_monitor : (Trace.monitor_event -> unit) option;
+  check : bool;
+  collect : bool;
+  budget : int;
+  mutable block_id : int;
+  mutable thread_instrs : int;
+  (* Branch terminators are not traced and do not count towards the
+     reported instruction totals, but they must still drain the step
+     budget: a shrink-mutated kernel can contain a loop of empty blocks
+     whose only work is the back-edge, and without this charge such a
+     kernel would spin forever. *)
+  mutable branch_steps : int;
+  mutable items : Trace.item list;
+}
+
+(* Dynamic barrier/race monitor (the runtime counterpart of the static
+   [Gpr_lint] passes).  Events go to [on_monitor] when set, otherwise
+   they abort the run. *)
+let monitor_emit st ev =
+  match st.on_monitor with
+  | Some h -> h ev
+  | None ->
+    failwith (st.kernel.k_name ^ ": " ^ Trace.monitor_event_to_string ev)
+
+(* Shared-race monitor state: per shared element, the last writer and
+   up to two distinct readers of the current barrier interval (-1 =
+   none, -2 = multiple distinct writers, already reported). *)
+let race_event st buf idx kind ~thread ~other pc =
+  monitor_emit st
+    (Trace.Shared_race
+       { block_id = st.block_id; buffer = st.kernel.k_buffers.(buf).buf_name;
+         index = idx; kind; thread; other; pc })
+
+let monitor_read st buf idx t pc =
+  match st.race.(buf) with
+  | None -> ()
+  | Some (wr, r1, r2) ->
+    if wr.(idx) >= 0 && wr.(idx) <> t then
+      race_event st buf idx Trace.Read_write ~thread:t ~other:wr.(idx) pc;
+    if r1.(idx) = -1 then r1.(idx) <- t
+    else if r1.(idx) <> t && r2.(idx) = -1 then r2.(idx) <- t
+
+let monitor_write st buf idx t pc =
+  match st.race.(buf) with
+  | None -> ()
+  | Some (wr, r1, r2) ->
+    if wr.(idx) >= 0 && wr.(idx) <> t then begin
+      race_event st buf idx Trace.Write_write ~thread:t ~other:wr.(idx) pc;
+      wr.(idx) <- -2
+    end
+    else if wr.(idx) = -1 then wr.(idx) <- t;
+    if r1.(idx) >= 0 && r1.(idx) <> t then
+      race_event st buf idx Trace.Read_write ~thread:t ~other:r1.(idx) pc
+    else if r2.(idx) >= 0 && r2.(idx) <> t then
+      race_event st buf idx Trace.Read_write ~thread:t ~other:r2.(idx) pc
+
+let check_budget st =
+  if st.thread_instrs + st.branch_steps > st.budget then
+    failwith
+      (Printf.sprintf "%s: step budget of %d thread instructions exceeded"
+         st.kernel.k_name st.budget)
+
+(* Register writes.  The common, hook-free case stays inline so a float
+   result is stored unboxed; the hooks see boxed values. *)
+let write_i_hooked st s i v =
+  match st.on_write with
+  | None -> st.ri.(i) <- v
+  | Some h ->
+    (match h s.pc s.def (P_int v) with
+     | P_int v' -> st.ri.(i) <- v'
+     | P_float _ -> failwith "Exec: on_write changed an int to a float")
+
+let[@inline] write_i st s i v =
+  match st.on_write with None -> st.ri.(i) <- v | Some _ -> write_i_hooked st s i v
+
+let write_f_hooked st s i v =
+  let v = match st.quantize with None -> v | Some q -> q s.pc v in
+  match st.on_write with
+  | None -> st.rf.(i) <- v
+  | Some h ->
+    (match h s.pc s.def (P_float v) with
+     | P_float v' -> st.rf.(i) <- v'
+     | P_int _ -> failwith "Exec: on_write changed a float to an int")
+
+let[@inline] write_f st s i v =
+  match st.quantize, st.on_write with
+  | None, None -> st.rf.(i) <- v
+  | _ -> write_f_hooked st s i v
+
+(* ------------------------------------------------------------------ *)
+(* Lane loops, one per op: operand reads, arithmetic, rounding and the
+   write share one function body. *)
+
+let int_bin st s w mask op u d a b =
+  let ri = st.ri and o = w.ibase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let x = ri.(o + a + lane) and y = ri.(o + b + lane) in
+      let v =
+        match op with
+        | Add -> x + y
+        | Sub -> x - y
+        | Mul -> x * y
+        | Div -> if y = 0 then 0 else x / y
+        | Rem -> if y = 0 then x else x mod y
+        | Min -> if x <= y then x else y
+        | Max -> if x >= y then x else y
+        | And -> x land y
+        | Or -> x lor y
+        | Xor -> x lxor y
+        | Shl -> x lsl (y land 31)
+        | Shr -> if u then wrap_u32 x lsr (y land 31) else x asr (y land 31)
+      in
+      write_i st s (o + d + lane) (if u then wrap_u32 v else wrap_s32 v)
+    end
+  done
+
+let int_un st s w mask op u d a =
+  let ri = st.ri and o = w.ibase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let x = ri.(o + a + lane) in
+      let v = match op with Ineg -> -x | Inot -> lnot x | Iabs -> abs x in
+      write_i st s (o + d + lane) (if u then wrap_u32 v else wrap_s32 v)
+    end
+  done
+
+let int_mad st s w mask u d a b c =
+  let ri = st.ri and o = w.ibase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let v = (ri.(o + a + lane) * ri.(o + b + lane)) + ri.(o + c + lane) in
+      write_i st s (o + d + lane) (if u then wrap_u32 v else wrap_s32 v)
+    end
+  done
+
+let flt_bin st s w mask op d a b =
+  let rf = st.rf and o = w.fbase in
+  match op with
+  | Fadd ->
+    for lane = 0 to 31 do
+      if mask land (1 lsl lane) <> 0 then
+        write_f st s (o + d + lane) (f32 (rf.(o + a + lane) +. rf.(o + b + lane)))
+    done
+  | Fsub ->
+    for lane = 0 to 31 do
+      if mask land (1 lsl lane) <> 0 then
+        write_f st s (o + d + lane) (f32 (rf.(o + a + lane) -. rf.(o + b + lane)))
+    done
+  | Fmul ->
+    for lane = 0 to 31 do
+      if mask land (1 lsl lane) <> 0 then
+        write_f st s (o + d + lane) (f32 (rf.(o + a + lane) *. rf.(o + b + lane)))
+    done
+  | Fdiv ->
+    for lane = 0 to 31 do
+      if mask land (1 lsl lane) <> 0 then
+        write_f st s (o + d + lane) (f32 (rf.(o + a + lane) /. rf.(o + b + lane)))
+    done
+  | Fmin | Fmax ->
+    let f = if op = Fmin then Float.min else Float.max in
+    for lane = 0 to 31 do
+      if mask land (1 lsl lane) <> 0 then
+        write_f st s (o + d + lane) (f32 (f rf.(o + a + lane) rf.(o + b + lane)))
+    done
+
+let flt_un st s w mask op d a =
+  let rf = st.rf and o = w.fbase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let x = rf.(o + a + lane) in
+      let v =
+        match op with
+        | Fneg -> -.x
+        | Fabs -> Float.abs x
+        | Ffloor -> Float.floor x
+        | Fsqrt -> sqrt x
+        | Frsqrt -> 1.0 /. sqrt x
+        | Frcp -> 1.0 /. x
+        | Fsin -> sin x
+        | Fcos -> cos x
+        | Fex2 -> Float.exp2 x
+        | Flg2 -> Float.log2 x
+      in
+      write_f st s (o + d + lane) (f32 v)
+    end
+  done
+
+let flt_fma st s w mask d a b c =
+  let rf = st.rf and o = w.fbase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then
+      write_f st s (o + d + lane)
+        (f32 ((rf.(o + a + lane) *. rf.(o + b + lane)) +. rf.(o + c + lane)))
+  done
+
+let[@inline] holds op c =
+  match op with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
+let cmp_int st s w mask op u p a b =
+  let ri = st.ri and o = w.ibase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let x = ri.(o + a + lane) and y = ri.(o + b + lane) in
+      let c = if u then compare (wrap_u32 x) (wrap_u32 y) else compare x y in
+      write_i st s (o + p + lane) (if holds op c then 1 else 0)
+    end
+  done
+
+let cmp_flt st s w mask op p a b =
+  let rf = st.rf and o = w.fbase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let c = compare (rf.(o + a + lane) : float) rf.(o + b + lane) in
+      write_i st s (w.ibase + p + lane) (if holds op c then 1 else 0)
+    end
+  done
+
+let sel_int st s w mask d a b p =
+  let ri = st.ri and o = w.ibase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then
+      write_i st s (o + d + lane)
+        (if ri.(o + p + lane) <> 0 then ri.(o + a + lane) else ri.(o + b + lane))
+  done
+
+let sel_flt st s w mask d a b p =
+  let rf = st.rf and o = w.fbase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then
+      write_f st s (o + d + lane)
+        (if st.ri.(w.ibase + p + lane) <> 0 then rf.(o + a + lane)
+         else rf.(o + b + lane))
+  done
+
+let mov_int st s w mask d a =
+  let ri = st.ri and o = w.ibase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then write_i st s (o + d + lane) ri.(o + a + lane)
+  done
+
+let mov_flt st s w mask d a =
+  let rf = st.rf and o = w.fbase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then write_f st s (o + d + lane) rf.(o + a + lane)
+  done
+
+let cvt_to_flt st s w mask u d a =
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let x = st.ri.(w.ibase + a + lane) in
+      write_f st s (w.fbase + d + lane)
+        (f32 (float_of_int (if u then wrap_u32 x else x)))
+    end
+  done
+
+let cvt_to_int st s w mask u d a =
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let x = st.rf.(w.fbase + a + lane) in
+      write_i st s (w.ibase + d + lane)
+        (if u then ftou_trunc x else wrap_s32 (ftoi_trunc x))
+    end
+  done
+
+let cvt_int st s w mask u d a =
+  let ri = st.ri and o = w.ibase in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let x = ri.(o + a + lane) in
+      write_i st s (o + d + lane) (if u then wrap_u32 x else wrap_s32 x)
+    end
+  done
+
+let param st s w mask i kind d =
+  match st.params.(i), kind with
+  | P_int v, Load_int ->
+    for lane = 0 to 31 do
+      if mask land (1 lsl lane) <> 0 then write_i st s (w.ibase + d + lane) v
+    done
+  | P_float v, Load_float ->
+    let v = f32 v in
+    for lane = 0 to 31 do
+      if mask land (1 lsl lane) <> 0 then write_f st s (w.fbase + d + lane) v
+    done
+  | _ -> failwith (st.kernel.k_name ^ ": param type mismatch")
+
+let out_of_bounds st what buf idx len =
+  failwith
+    (Printf.sprintf "%s: %s %s[%d] out of bounds (len %d)" st.kernel.k_name what
+       st.kernel.k_buffers.(buf).buf_name idx len)
+
+let storage_length = function I_data a -> Array.length a | F_data a -> Array.length a
+
+(* Memory ops walk lanes from the highest down (the order the first
+   failing lane is reported in) and build the per-lane byte addresses,
+   in lane order, only for a trace. *)
+let mem_access st buf addrs =
+  if st.collect then
+    Some { Trace.m_space = st.kernel.k_buffers.(buf).buf_space; m_addresses = addrs }
+  else None
+
+let load st s w mask active buf kind d idx =
+  let ri = st.ri and o = w.ibase in
+  let storage = st.storage.(buf) in
+  let len = storage_length storage in
+  let base = st.addr_base.(buf) in
+  let addrs = if st.collect then Array.make active 0 else [||] in
+  let k = ref active in
+  for lane = 31 downto 0 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let i = ri.(o + idx + lane) in
+      if i < 0 || i >= len then out_of_bounds st "ld" buf i len;
+      if st.check then monitor_read st buf i ((w.wid * 32) + lane) s.pc;
+      (match storage, kind with
+       | I_data a, Load_int -> write_i st s (o + d + lane) a.(i)
+       | F_data a, Load_float -> write_f st s (w.fbase + d + lane) a.(i)
+       | _ -> failwith (st.kernel.k_name ^ ": load type mismatch"));
+      if st.collect then begin
+        decr k;
+        addrs.(!k) <- base + (i * 4)
+      end
+    end
+  done;
+  mem_access st buf addrs
+
+let store st s w mask active buf idx vi vf err_i err_f =
+  let ri = st.ri and o = w.ibase in
+  let storage = st.storage.(buf) in
+  let len = storage_length storage in
+  let base = st.addr_base.(buf) in
+  let addrs = if st.collect then Array.make active 0 else [||] in
+  let k = ref active in
+  for lane = 31 downto 0 do
+    if mask land (1 lsl lane) <> 0 then begin
+      let i = ri.(o + idx + lane) in
+      if i < 0 || i >= len then out_of_bounds st "st" buf i len;
+      if st.check then monitor_write st buf i ((w.wid * 32) + lane) s.pc;
+      (match storage with
+       | I_data a ->
+         Option.iter failwith err_i;
+         a.(i) <- ri.(o + vi + lane)
+       | F_data a ->
+         Option.iter failwith err_f;
+         a.(i) <- st.rf.(w.fbase + vf + lane));
+      if st.collect then begin
+        decr k;
+        addrs.(!k) <- base + (i * 4)
+      end
+    end
+  done;
+  mem_access st buf addrs
+
+(* Execute one site for the lanes of [mask] (never empty), then count
+   it, trace it and check the step budget. *)
+let rec exec_op st s w mask active op =
+  match op with
+  | Int_bin (op, u, d, a, b) -> int_bin st s w mask op u d a b; None
+  | Int_un (op, u, d, a) -> int_un st s w mask op u d a; None
+  | Int_mad (u, d, a, b, c) -> int_mad st s w mask u d a b c; None
+  | Flt_bin (op, d, a, b) -> flt_bin st s w mask op d a b; None
+  | Flt_un (op, d, a) -> flt_un st s w mask op d a; None
+  | Flt_fma (d, a, b, c) -> flt_fma st s w mask d a b c; None
+  | Cmp_int (op, u, p, a, b) -> cmp_int st s w mask op u p a b; None
+  | Cmp_flt (op, p, a, b) -> cmp_flt st s w mask op p a b; None
+  | Sel_int (d, a, b, p) -> sel_int st s w mask d a b p; None
+  | Sel_flt (d, a, b, p) -> sel_flt st s w mask d a b p; None
+  | Sel_checked (p, fa, fb, sel) ->
+    (* Only the selected side is read: fail on the first active lane
+       that selects an ill-typed immediate. *)
+    for lane = 0 to 31 do
+      if mask land (1 lsl lane) <> 0 then
+        Option.iter failwith (if st.ri.(w.ibase + p + lane) <> 0 then fa else fb)
+    done;
+    exec_op st s w mask active sel
+  | Mov_int (d, a) -> mov_int st s w mask d a; None
+  | Mov_flt (d, a) -> mov_flt st s w mask d a; None
+  | Cvt_to_flt (u, d, a) -> cvt_to_flt st s w mask u d a; None
+  | Cvt_to_int (u, d, a) -> cvt_to_int st s w mask u d a; None
+  | Cvt_int (u, d, a) -> cvt_int st s w mask u d a; None
+  | Load (buf, kind, d, idx) -> load st s w mask active buf kind d idx
+  | Store (buf, idx, vi, vf, err_i, err_f) ->
+    store st s w mask active buf idx vi vf err_i err_f
+  | Param (i, kind, d) -> param st s w mask i kind d; None
+  | Sync -> None
+  | Fail msg -> failwith msg
+
+let exec st s w mask =
+  let active = Gpr_util.Bits.popcount mask in
+  let mem = exec_op st s w mask active s.op in
+  if st.collect then
+    st.items <-
+      { Trace.t_warp = w.wid; t_block_id = st.block_id; t_pc = s.pc;
+        t_unit = s.unit; t_srcs = s.srcs; t_dst = s.dst;
+        t_dst_float = s.dst_float; t_active = active; t_mem = mem }
+      :: st.items;
+  st.thread_instrs <- st.thread_instrs + active;
+  check_budget st
+
+let charge_branch st mask =
+  st.branch_steps <- st.branch_steps + Gpr_util.Bits.popcount mask;
+  check_budget st
+
+(* Run one warp until a barrier ([true]) or completion ([false]). *)
+let rec step_warp st w =
+  match w.stack with
+  | [] -> false
+  | fr :: rest ->
+    fr.mask <- fr.mask land lnot w.exited;
+    if fr.mask = 0 || (fr.idx = 0 && fr.blk = fr.rpc) then begin
+      w.stack <- rest;
+      step_warp st w
+    end
+    else begin
+      let sites = st.prog.blocks.(fr.blk) in
+      if fr.idx < Array.length sites then begin
+        let s = sites.(fr.idx) in
+        exec st s w fr.mask;
+        fr.idx <- fr.idx + 1;
+        if s.bar then begin
+          if st.check && fr.mask <> w.valid then
+            monitor_emit st
+              (Trace.Divergent_barrier
+                 { block_id = st.block_id; warp = w.wid; pc = s.pc;
+                   mask = fr.mask; expected = w.valid });
+          true
+        end
+        else step_warp st w
+      end
+      else begin
+        (match st.prog.terms.(fr.blk) with
+         | T_ret ->
+           w.exited <- w.exited lor fr.mask;
+           w.stack <- rest
+         | T_br l ->
+           charge_branch st fr.mask;
+           fr.blk <- l;
+           fr.idx <- 0
+         | T_cbr (p, t, f) ->
+           charge_branch st fr.mask;
+           let mt = ref 0 in
+           for lane = 0 to 31 do
+             if fr.mask land (1 lsl lane) <> 0 && st.ri.(w.ibase + p + lane) <> 0
+             then mt := !mt lor (1 lsl lane)
+           done;
+           let mt = !mt in
+           let mf = fr.mask land lnot mt in
+           if mf = 0 then begin fr.blk <- t; fr.idx <- 0 end
+           else if mt = 0 then begin fr.blk <- f; fr.idx <- 0 end
+           else begin
+             let r = st.prog.ipdom.(fr.blk) in
+             let side rpc blk mask = { rpc; blk; idx = 0; mask } in
+             if r >= 0 then begin
+               fr.blk <- r;
+               fr.idx <- 0;
+               w.stack <- side r t mt :: side r f mf :: w.stack
+             end
+             else
+               (* Both sides exit before meeting: no reconvergence. *)
+               w.stack <- side (-1) t mt :: side (-1) f mf :: rest
+           end);
+        step_warp st w
+      end
+    end
 
 (* ------------------------------------------------------------------ *)
 
 let m_runs = Gpr_obs.Metrics.counter "exec.runs"
 let m_thread_instrs = Gpr_obs.Metrics.counter "exec.thread_instructions"
 
-let run ?(check = false) kernel ~launch ~params ~bindings config =
-  let nvr = kernel.k_num_vregs in
-  (* Dynamic barrier/race monitor (the runtime counterpart of the static
-     [Gpr_lint] passes).  Events go to [on_monitor] when set, otherwise
-     they abort the run. *)
-  let monitor_emit ev =
-    match config.on_monitor with
-    | Some h -> h ev
-    | None ->
-      failwith (kernel.k_name ^ ": " ^ Trace.monitor_event_to_string ev)
-  in
-  let pc_base, _ = pc_bases kernel in
-  let cfg = Gpr_isa.Cfg.of_kernel kernel in
-  let post = Gpr_analysis.Dominance.compute_post cfg in
-  let ipdom = Array.init (Array.length kernel.k_blocks)
-      (fun b -> match Gpr_analysis.Dominance.ipdom post b with
-         | Some r -> r
-         | None -> -1)
-  in
+(* The register files of one run are kept per domain for the next: a
+   fresh array per run cost more (page faults and major-GC work) than
+   running a small kernel.  A nested run (from a hook) takes fresh
+   arrays; files above [keep_words] are left to the GC. *)
+let files_key = Domain.DLS.new_key (fun () -> ref ([||], [||]))
+let keep_words = 1 lsl 18
+
+let take_files ni nf =
+  let kept = Domain.DLS.get files_key in
+  let ri, rf = !kept in
+  kept := ([||], [||]);
+  ((if Array.length ri >= ni then ri else Array.make ni 0),
+   if Array.length rf >= nf then rf else Array.make nf 0.0)
+
+let keep_files st =
+  if Array.length st.ri <= keep_words && Array.length st.rf <= keep_words then
+    Domain.DLS.get files_key := (st.ri, st.rf)
+
+let race_reset race =
+  Array.iter
+    (Option.iter (fun (wr, r1, r2) ->
+         Array.fill wr 0 (Array.length wr) (-1);
+         Array.fill r1 0 (Array.length r1) (-1);
+         Array.fill r2 0 (Array.length r2) (-1)))
+    race
+
+(* Start CTA [block_id]: clear shared memory, the race records and the
+   register slots a lane could read before writing, and seed the special
+   registers of every valid lane. *)
+let start_cta st warps ~launch block_id =
+  let kernel = st.kernel in
+  let tpb = threads_per_block launch in
+  let bx = block_id mod launch.nctaid_x in
+  let by = block_id / launch.nctaid_x in
+  st.block_id <- block_id;
+  Array.iteri
+    (fun i buf ->
+       if buf.buf_space = Shared then
+         match st.storage.(i) with
+         | I_data a -> Array.fill a 0 (Array.length a) 0
+         | F_data a -> Array.fill a 0 (Array.length a) 0.0)
+    kernel.k_buffers;
+  race_reset st.race;
+  Array.iter
+    (fun w ->
+       Array.iter (fun o -> Array.fill st.ri (w.ibase + o) 32 0) st.prog.clear_i;
+       Array.iter (fun o -> Array.fill st.rf (w.fbase + o) 32 0.0) st.prog.clear_f;
+       w.stack <- [ { rpc = -1; blk = 0; idx = 0; mask = w.valid } ];
+       w.exited <- 0;
+       for lane = 0 to 31 do
+         let t = (w.wid * 32) + lane in
+         if t < tpb then begin
+           let tx = t mod launch.ntid_x and ty = t / launch.ntid_x in
+           List.iter
+             (fun (vid, s) ->
+                st.ri.(w.ibase + (vid * 32) + lane) <-
+                  (match s with
+                   | Tid_x -> tx
+                   | Tid_y -> ty
+                   | Ntid_x -> launch.ntid_x
+                   | Ntid_y -> launch.ntid_y
+                   | Ctaid_x -> bx
+                   | Ctaid_y -> by
+                   | Nctaid_x -> launch.nctaid_x
+                   | Nctaid_y -> launch.nctaid_y))
+             kernel.k_specials
+         end
+       done)
+    warps
+
+(* Barrier-synchronised round-robin over the CTA's warps. *)
+let run_cta st warps finished =
+  let n = Array.length warps in
+  Array.fill finished 0 n false;
+  let remaining = ref n in
+  while !remaining > 0 do
+    for wid = 0 to n - 1 do
+      if not finished.(wid) && not (step_warp st warps.(wid)) then begin
+        finished.(wid) <- true;
+        decr remaining
+      end
+    done;
+    (* Every unfinished warp just ran up to its next barrier, so a
+       scheduler pass boundary is a barrier-interval boundary: clear the
+       race-monitor access records. *)
+    if st.check then race_reset st.race
+  done
+
+let run ?(check = false) kernel ~launch ~params ~bindings (config : config) =
   let nbuf = Array.length kernel.k_buffers in
   if Array.length bindings <> nbuf then
     failwith "Exec.run: binding count mismatch";
   (* Distinct byte-address bases per global/texture buffer, for the
      cache model.  Shared buffers get small per-space bases. *)
-  let buf_base = Array.make nbuf 0 in
-  let acc = ref 0 in
+  let addr_base = Array.make nbuf 0 in
+  let acc = ref 0 and sacc = ref 0 in
   Array.iteri
     (fun i buf ->
-       match buf.buf_space with
-       | Global | Texture ->
-         buf_base.(i) <- !acc;
-         let len =
-           match bindings.(i) with
-           | Buf_data (I_data a) -> Array.length a
-           | Buf_data (F_data a) -> Array.length a
-           | Buf_shared _ -> failwith "Exec.run: shared binding for global"
-         in
-         acc := !acc + ((len * 4 + 127) / 128 * 128) + 128
-       | Shared ->
-         (match bindings.(i) with
-          | Buf_shared _ -> ()
-          | Buf_data _ -> failwith "Exec.run: global binding for shared")
-       | Param -> ())
+       match buf.buf_space, bindings.(i) with
+       | (Global | Texture), Buf_data s ->
+         addr_base.(i) <- !acc;
+         acc := !acc + ((storage_length s * 4 + 127) / 128 * 128) + 128
+       | (Global | Texture), Buf_shared _ ->
+         failwith "Exec.run: shared binding for global"
+       | Shared, Buf_shared n ->
+         addr_base.(i) <- !sacc;
+         sacc := !sacc + (n * 4)
+       | Shared, Buf_data _ -> failwith "Exec.run: global binding for shared"
+       | Param, _ -> ())
     kernel.k_buffers;
-  let shared_base = Array.make nbuf 0 in
-  let sacc = ref 0 in
-  Array.iteri
-    (fun i buf ->
-       if buf.buf_space = Shared then begin
-         shared_base.(i) <- !sacc;
+  let prog = program kernel in
+  (* Shared arrays and race records: one set per run, cleared per CTA. *)
+  let storage =
+    Array.mapi
+      (fun i (buf : buffer) ->
          match bindings.(i) with
-         | Buf_shared n -> sacc := !sacc + (n * 4)
-         | Buf_data _ -> ()
-       end)
-    kernel.k_buffers;
-
+         | Buf_shared n ->
+           if buf.buf_elem = F32 then F_data (Array.make n 0.0)
+           else I_data (Array.make n 0)
+         | Buf_data s -> s)
+      kernel.k_buffers
+  in
+  let race =
+    Array.map
+      (function
+        | Buf_shared n when check ->
+          Some (Array.make n (-1), Array.make n (-1), Array.make n (-1))
+        | Buf_shared _ | Buf_data _ -> None)
+      bindings
+  in
   let tpb = threads_per_block launch in
   let warps_per_block = (tpb + 31) / 32 in
   let nblocks = num_blocks launch in
-
-  let trace_buf = ref [] in
-  let trace_count = ref 0 in
-  let thread_instrs = ref 0 in
-  (* Branch terminators are not traced and do not count towards the
-     reported instruction totals, but they must still drain the step
-     budget: a shrink-mutated kernel can contain a loop of empty blocks
-     whose only work is the back-edge, and without this charge such a
-     kernel would spin forever. *)
-  let branch_steps = ref 0 in
-  let quantize = config.quantize in
-  let on_write = config.on_write in
-
-  (* Per-block execution. *)
-  let run_block block_id =
-    let bx = block_id mod launch.nctaid_x in
-    let by = block_id / launch.nctaid_x in
-    (* Shared memory instances for this block. *)
-    let shared =
-      Array.mapi
-        (fun i buf ->
-           match bindings.(i) with
-           | Buf_shared n ->
-             if buf.buf_elem = F32 then Some (F_data (Array.make n 0.0))
-             else Some (I_data (Array.make n 0))
-           | Buf_data _ -> None)
-        kernel.k_buffers
-    in
-    let storage_of i =
-      match kernel.k_buffers.(i).buf_space with
-      | Global | Texture ->
-        (match bindings.(i) with
-         | Buf_data s -> s
-         | Buf_shared _ -> assert false)
-      | Shared ->
-        (match shared.(i) with Some s -> s | None -> assert false)
-      | Param -> assert false
-    in
-
-    let make_warp wid =
-      let valid = ref 0 in
-      for lane = 0 to 31 do
-        if (wid * 32) + lane < tpb then valid := !valid lor (1 lsl lane)
-      done;
-      let w =
-        {
-          wid;
-          valid = !valid;
-          regs_i = Array.make (nvr * 32) 0;
-          regs_f = Array.make (nvr * 32) 0.0;
-          stack = [ { rpc = -1; blk = 0; idx = 0; mask = !valid } ];
-          exited = 0;
-        }
-      in
-      (* Seed the special registers of every valid lane. *)
-      for lane = 0 to 31 do
-        let t = (wid * 32) + lane in
-        if t < tpb then begin
-          let tx = t mod launch.ntid_x and ty = t / launch.ntid_x in
-          List.iter
-            (fun (vid, s) ->
-               let v =
-                 match s with
-                 | Tid_x -> tx
-                 | Tid_y -> ty
-                 | Ntid_x -> launch.ntid_x
-                 | Ntid_y -> launch.ntid_y
-                 | Ctaid_x -> bx
-                 | Ctaid_y -> by
-                 | Nctaid_x -> launch.nctaid_x
-                 | Nctaid_y -> launch.nctaid_y
-               in
-               w.regs_i.((vid * 32) + lane) <- v)
-            kernel.k_specials
-        end
-      done;
-      w
-    in
-    let warps = Array.init warps_per_block make_warp in
-
-    (* Shared-race monitor state: per shared element, the last writer and
-       up to two distinct readers of the current barrier interval
-       (-1 = none, -2 = multiple distinct writers, already reported). *)
-    let race =
-      if not check then [||]
-      else
-        Array.mapi
-          (fun i _ ->
-             match bindings.(i) with
-             | Buf_shared n ->
-               Some (Array.make n (-1), Array.make n (-1), Array.make n (-1))
-             | Buf_data _ -> None)
-          kernel.k_buffers
-    in
-    let race_reset () =
-      Array.iter
-        (function
-          | Some (wr, r1, r2) ->
-            Array.fill wr 0 (Array.length wr) (-1);
-            Array.fill r1 0 (Array.length r1) (-1);
-            Array.fill r2 0 (Array.length r2) (-1)
-          | None -> ())
-        race
-    in
-    let race_event buf_idx idx kind ~thread ~other pc =
-      monitor_emit
-        (Trace.Shared_race
-           { block_id; buffer = kernel.k_buffers.(buf_idx).buf_name;
-             index = idx; kind; thread; other; pc })
-    in
-    let monitor_read buf_idx idx t pc =
-      if check then
-        match race.(buf_idx) with
-        | None -> ()
-        | Some (wr, r1, r2) ->
-          if wr.(idx) >= 0 && wr.(idx) <> t then
-            race_event buf_idx idx Trace.Read_write ~thread:t ~other:wr.(idx) pc;
-          if r1.(idx) = -1 then r1.(idx) <- t
-          else if r1.(idx) <> t && r2.(idx) = -1 then r2.(idx) <- t
-    in
-    let monitor_write buf_idx idx t pc =
-      if check then
-        match race.(buf_idx) with
-        | None -> ()
-        | Some (wr, r1, r2) ->
-          if wr.(idx) >= 0 && wr.(idx) <> t then begin
-            race_event buf_idx idx Trace.Write_write ~thread:t ~other:wr.(idx) pc;
-            wr.(idx) <- -2
-          end
-          else if wr.(idx) = -1 then wr.(idx) <- t;
-          if r1.(idx) >= 0 && r1.(idx) <> t then
-            race_event buf_idx idx Trace.Read_write ~thread:t ~other:r1.(idx) pc
-          else if r2.(idx) >= 0 && r2.(idx) <> t then
-            race_event buf_idx idx Trace.Read_write ~thread:t ~other:r2.(idx) pc
-    in
-
-    (* Per-lane operand evaluation. *)
-    let geti w (r : vreg) lane = w.regs_i.((r.id * 32) + lane) in
-    let getf w (r : vreg) lane = w.regs_f.((r.id * 32) + lane) in
-    let eval_i w op lane =
-      match op with
-      | Reg r -> geti w r lane
-      | Imm_i c -> c
-      | Imm_f _ -> failwith "Exec: float immediate in integer context"
-    in
-    let eval_f w op lane =
-      match op with
-      | Reg r -> getf w r lane
-      | Imm_f c -> f32 c
-      | Imm_i c -> failwith (Printf.sprintf "Exec: int immediate %d in float context" c)
-    in
-    let seti w (r : vreg) lane v pc =
-      let v =
-        match on_write with
-        | None -> v
-        | Some h ->
-          (match h pc r (P_int v) with
-           | P_int v' -> v'
-           | P_float _ -> failwith "Exec: on_write changed an int to a float")
-      in
-      w.regs_i.((r.id * 32) + lane) <- v
-    in
-    let setf w (r : vreg) lane v pc =
-      let v =
-        match quantize with None -> v | Some q -> q pc v
-      in
-      let v =
-        match on_write with
-        | None -> v
-        | Some h ->
-          (match h pc r (P_float v) with
-           | P_float v' -> v'
-           | P_int _ -> failwith "Exec: on_write changed a float to an int")
-      in
-      w.regs_f.((r.id * 32) + lane) <- v
-    in
-
-    let emit_trace w pc ins mask mem =
-      if config.collect_trace then begin
-        let srcs =
-          uses ins
-          |> List.filter_map (fun (r : vreg) ->
-              if r.ty = Pred then None else Some r.id)
-        in
-        let dst, dst_float =
-          match defs ins with
-          | Some d when d.ty <> Pred -> (Some d.id, d.ty = F32)
-          | _ -> (None, false)
-        in
-        let item =
-          {
-            Trace.t_warp = w.wid;
-            t_block_id = block_id;
-            t_pc = pc;
-            t_unit = unit_class_of ins;
-            t_srcs = srcs;
-            t_dst = dst;
-            t_dst_float = dst_float;
-            t_active = Gpr_util.Bits.popcount mask;
-            t_mem = mem;
-          }
-        in
-        trace_buf := item :: !trace_buf;
-        incr trace_count
-      end;
-      thread_instrs := !thread_instrs + Gpr_util.Bits.popcount mask;
-      match config.max_steps with
-      | Some budget when !thread_instrs + !branch_steps > budget ->
-        failwith
-          (Printf.sprintf "%s: step budget of %d thread instructions exceeded"
-             kernel.k_name budget)
-      | _ -> ()
-    in
-
-    let charge_branch mask =
-      branch_steps := !branch_steps + Gpr_util.Bits.popcount mask;
-      match config.max_steps with
-      | Some budget when !thread_instrs + !branch_steps > budget ->
-        failwith
-          (Printf.sprintf "%s: step budget of %d thread instructions exceeded"
-             kernel.k_name budget)
-      | _ -> ()
-    in
-
-    let mem_read buf_idx w idx_op mask (d : vreg) pc ins =
-      let s = storage_of buf_idx in
-      let buf = kernel.k_buffers.(buf_idx) in
-      let addrs = ref [] in
-      for lane = 31 downto 0 do
-        if mask land (1 lsl lane) <> 0 then begin
-          let idx = eval_i w idx_op lane in
-          let len =
-            match s with I_data a -> Array.length a | F_data a -> Array.length a
-          in
-          if idx < 0 || idx >= len then
-            failwith
-              (Printf.sprintf "%s: ld %s[%d] out of bounds (len %d)"
-                 kernel.k_name buf.buf_name idx len);
-          monitor_read buf_idx idx ((w.wid * 32) + lane) pc;
-          (match s, d.ty with
-           | I_data a, (S32 | U32) -> seti w d lane a.(idx) pc
-           | F_data a, F32 -> setf w d lane a.(idx) pc
-           | I_data _, _ | F_data _, _ ->
-             failwith (kernel.k_name ^ ": load type mismatch"));
-          let base =
-            if buf.buf_space = Shared then shared_base.(buf_idx)
-            else buf_base.(buf_idx)
-          in
-          addrs := (base + (idx * 4)) :: !addrs
-        end
-      done;
-      emit_trace w pc ins mask
-        (Some { Trace.m_space = buf.buf_space;
-                m_addresses = Array.of_list !addrs })
-    in
-
-    let mem_write buf_idx w idx_op value_op mask pc ins =
-      let s = storage_of buf_idx in
-      let buf = kernel.k_buffers.(buf_idx) in
-      if buf.buf_space = Texture then
-        failwith (kernel.k_name ^ ": store to read-only texture space");
-      let addrs = ref [] in
-      for lane = 31 downto 0 do
-        if mask land (1 lsl lane) <> 0 then begin
-          let idx = eval_i w idx_op lane in
-          let len =
-            match s with I_data a -> Array.length a | F_data a -> Array.length a
-          in
-          if idx < 0 || idx >= len then
-            failwith
-              (Printf.sprintf "%s: st %s[%d] out of bounds (len %d)"
-                 kernel.k_name buf.buf_name idx len);
-          monitor_write buf_idx idx ((w.wid * 32) + lane) pc;
-          (match s with
-           | I_data a -> a.(idx) <- eval_i w value_op lane
-           | F_data a -> a.(idx) <- eval_f w value_op lane);
-          let base =
-            if buf.buf_space = Shared then shared_base.(buf_idx)
-            else buf_base.(buf_idx)
-          in
-          addrs := (base + (idx * 4)) :: !addrs
-        end
-      done;
-      emit_trace w pc ins mask
-        (Some { Trace.m_space = buf.buf_space;
-                m_addresses = Array.of_list !addrs })
-    in
-
-    let exec_instr w ins mask pc =
-      match ins with
-      | Ibin (op, d, a, b) ->
-        let wrap = if d.ty = U32 then wrap_u32 else wrap_s32 in
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then begin
-            let x = eval_i w a lane and y = eval_i w b lane in
-            let v =
-              match op with
-              | Add -> x + y
-              | Sub -> x - y
-              | Mul -> x * y
-              | Div -> if y = 0 then 0 else x / y
-              | Rem -> if y = 0 then x else x mod y
-              | Min -> min x y
-              | Max -> max x y
-              | And -> x land y
-              | Or -> x lor y
-              | Xor -> x lxor y
-              | Shl -> x lsl (y land 31)
-              | Shr ->
-                if d.ty = U32 then wrap_u32 x lsr (y land 31)
-                else x asr (y land 31)
-            in
-            seti w d lane (wrap v) pc
-          end
-        done;
-        emit_trace w pc ins mask None
-      | Iun (op, d, a) ->
-        let wrap = if d.ty = U32 then wrap_u32 else wrap_s32 in
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then begin
-            let x = eval_i w a lane in
-            let v =
-              match op with
-              | Ineg -> -x
-              | Inot -> lnot x
-              | Iabs -> abs x
-            in
-            seti w d lane (wrap v) pc
-          end
-        done;
-        emit_trace w pc ins mask None
-      | Imad (d, a, b, c) ->
-        let wrap = if d.ty = U32 then wrap_u32 else wrap_s32 in
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then
-            seti w d lane
-              (wrap ((eval_i w a lane * eval_i w b lane) + eval_i w c lane))
-              pc
-        done;
-        emit_trace w pc ins mask None
-      | Fbin (op, d, a, b) ->
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then begin
-            let x = eval_f w a lane and y = eval_f w b lane in
-            let v =
-              match op with
-              | Fadd -> x +. y
-              | Fsub -> x -. y
-              | Fmul -> x *. y
-              | Fdiv -> x /. y
-              | Fmin -> Float.min x y
-              | Fmax -> Float.max x y
-            in
-            setf w d lane (f32 v) pc
-          end
-        done;
-        emit_trace w pc ins mask None
-      | Fun (op, d, a) ->
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then begin
-            let x = eval_f w a lane in
-            let v =
-              match op with
-              | Fneg -> -.x
-              | Fabs -> Float.abs x
-              | Ffloor -> Float.floor x
-              | Fsqrt -> sqrt x
-              | Frsqrt -> 1.0 /. sqrt x
-              | Frcp -> 1.0 /. x
-              | Fsin -> sin x
-              | Fcos -> cos x
-              | Fex2 -> Float.exp2 x
-              | Flg2 -> Float.log2 x
-            in
-            setf w d lane (f32 v) pc
-          end
-        done;
-        emit_trace w pc ins mask None
-      | Ffma (d, a, b, c) ->
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then
-            setf w d lane
-              (f32 ((eval_f w a lane *. eval_f w b lane) +. eval_f w c lane))
-              pc
-        done;
-        emit_trace w pc ins mask None
-      | Setp (op, ty, p, a, b) ->
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then begin
-            let c =
-              if ty = F32 then
-                compare (eval_f w a lane) (eval_f w b lane)
-              else if ty = U32 then
-                compare (wrap_u32 (eval_i w a lane)) (wrap_u32 (eval_i w b lane))
-              else compare (eval_i w a lane) (eval_i w b lane)
-            in
-            let v =
-              match op with
-              | Eq -> c = 0
-              | Ne -> c <> 0
-              | Lt -> c < 0
-              | Le -> c <= 0
-              | Gt -> c > 0
-              | Ge -> c >= 0
-            in
-            seti w p lane (if v then 1 else 0) pc
-          end
-        done;
-        emit_trace w pc ins mask None
-      | Selp (d, a, b, p) ->
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then begin
-            let c = geti w p lane <> 0 in
-            if d.ty = F32 then
-              setf w d lane (if c then eval_f w a lane else eval_f w b lane) pc
-            else
-              seti w d lane (if c then eval_i w a lane else eval_i w b lane) pc
-          end
-        done;
-        emit_trace w pc ins mask None
-      | Mov (d, a) ->
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then
-            if d.ty = F32 then setf w d lane (eval_f w a lane) pc
-            else seti w d lane (eval_i w a lane) pc
-        done;
-        emit_trace w pc ins mask None
-      | Cvt (op, d, a) ->
-        for lane = 0 to 31 do
-          if mask land (1 lsl lane) <> 0 then
-            match op with
-            | F32_of_s32 -> setf w d lane (f32 (float_of_int (eval_i w a lane))) pc
-            | F32_of_u32 ->
-              setf w d lane (f32 (float_of_int (wrap_u32 (eval_i w a lane)))) pc
-            | S32_of_f32 -> seti w d lane (wrap_s32 (ftoi_trunc (eval_f w a lane))) pc
-            | U32_of_f32 -> seti w d lane (ftou_trunc (eval_f w a lane)) pc
-            | S32_of_u32 -> seti w d lane (wrap_s32 (eval_i w a lane)) pc
-            | U32_of_s32 -> seti w d lane (wrap_u32 (eval_i w a lane)) pc
-        done;
-        emit_trace w pc ins mask None
-      | Ld (d, { abuf; aindex }) -> mem_read abuf.buf_id w aindex mask d pc ins
-      | St ({ abuf; aindex }, v) -> mem_write abuf.buf_id w aindex v mask pc ins
-      | Ld_param (d, i) ->
-        (match params.(i), d.ty with
-         | P_int v, (S32 | U32) ->
-           for lane = 0 to 31 do
-             if mask land (1 lsl lane) <> 0 then seti w d lane v pc
-           done
-         | P_float v, F32 ->
-           for lane = 0 to 31 do
-             if mask land (1 lsl lane) <> 0 then setf w d lane (f32 v) pc
-           done
-         | _ -> failwith (kernel.k_name ^ ": param type mismatch"));
-        emit_trace w pc ins mask None
-      | Bar -> emit_trace w pc ins mask None
-      | Phi _ | Pi _ ->
-        failwith (kernel.k_name ^ ": SSA-only instruction in executable kernel")
-    in
-
-    (* Run one warp until barrier or completion. *)
-    let step_warp w : status =
-      let result = ref Finished in
-      let running = ref true in
-      while !running do
-        match w.stack with
-        | [] ->
-          running := false;
-          result := Finished
-        | fr :: rest ->
-          fr.mask <- fr.mask land lnot w.exited;
-          if fr.mask = 0 then w.stack <- rest
-          else if fr.idx = 0 && fr.blk = fr.rpc then w.stack <- rest
-          else begin
-            let blk = kernel.k_blocks.(fr.blk) in
-            if fr.idx < Array.length blk.instrs then begin
-              let ins = blk.instrs.(fr.idx) in
-              let pc = pc_base.(fr.blk) + fr.idx in
-              exec_instr w ins fr.mask pc;
-              fr.idx <- fr.idx + 1;
-              if ins = Bar then begin
-                if check && fr.mask <> w.valid then
-                  monitor_emit
-                    (Trace.Divergent_barrier
-                       { block_id; warp = w.wid; pc; mask = fr.mask;
-                         expected = w.valid });
-                running := false;
-                result := Barrier
-              end
-            end
-            else
-              match blk.term with
-              | Ret ->
-                w.exited <- w.exited lor fr.mask;
-                w.stack <- rest
-              | Br l ->
-                charge_branch fr.mask;
-                fr.blk <- l;
-                fr.idx <- 0
-              | Cbr (p, t, f) ->
-                charge_branch fr.mask;
-                let mt = ref 0 in
-                for lane = 0 to 31 do
-                  if fr.mask land (1 lsl lane) <> 0 && geti w p lane <> 0 then
-                    mt := !mt lor (1 lsl lane)
-                done;
-                let mt = !mt in
-                let mf = fr.mask land lnot mt in
-                if mf = 0 then begin fr.blk <- t; fr.idx <- 0 end
-                else if mt = 0 then begin fr.blk <- f; fr.idx <- 0 end
-                else begin
-                  let r = ipdom.(fr.blk) in
-                  let side rpc blk mask = { rpc; blk; idx = 0; mask } in
-                  if r >= 0 then begin
-                    fr.blk <- r;
-                    fr.idx <- 0;
-                    w.stack <- side r t mt :: side r f mf :: w.stack
-                  end
-                  else begin
-                    (* Both sides exit before meeting: no reconvergence. *)
-                    w.stack <- side (-1) t mt :: side (-1) f mf :: rest
-                  end
-                end
-          end
-      done;
-      !result
-
-    in
-    (* Barrier-synchronised round-robin over the block's warps. *)
-    let finished = Array.make warps_per_block false in
-    let remaining = ref warps_per_block in
-    while !remaining > 0 do
-      for wid = 0 to warps_per_block - 1 do
-        if not finished.(wid) then
-          match step_warp warps.(wid) with
-          | Barrier -> ()
-          | Finished ->
-            finished.(wid) <- true;
-            decr remaining
-      done;
-      (* Every unfinished warp just ran up to its next barrier, so a
-         scheduler pass boundary is a barrier-interval boundary: clear
-         the race-monitor access records. *)
-      if check then race_reset ()
-    done
+  let nvr = kernel.k_num_vregs in
+  let istride = (nvr + Array.length prog.iconsts) * 32 in
+  let fstride = (nvr + Array.length prog.fconsts) * 32 in
+  let ri, rf = take_files (warps_per_block * istride) (warps_per_block * fstride) in
+  let st =
+    { prog; kernel; ri; rf;
+      params; storage; addr_base; race;
+      quantize = config.quantize; on_write = config.on_write;
+      on_monitor = config.on_monitor; check; collect = config.collect_trace;
+      budget = Option.value config.max_steps ~default:max_int;
+      block_id = 0; thread_instrs = 0; branch_steps = 0; items = [] }
   in
-
+  let warps =
+    Array.init warps_per_block (fun wid ->
+        let valid = ref 0 in
+        for lane = 0 to 31 do
+          if (wid * 32) + lane < tpb then valid := !valid lor (1 lsl lane)
+        done;
+        let ibase = wid * istride and fbase = wid * fstride in
+        Array.iteri
+          (fun k c -> Array.fill st.ri (ibase + ((nvr + k) * 32)) 32 c)
+          prog.iconsts;
+        Array.iteri
+          (fun k c -> Array.fill st.rf (fbase + ((nvr + k) * 32)) 32 c)
+          prog.fconsts;
+        { wid; valid = !valid; ibase; fbase; stack = []; exited = 0 })
+  in
+  let finished = Array.make warps_per_block false in
   for block_id = 0 to nblocks - 1 do
-    run_block block_id
+    start_cta st warps ~launch block_id;
+    run_cta st warps finished
   done;
 
+  keep_files st;
   Gpr_obs.Metrics.incr m_runs;
-  Gpr_obs.Metrics.add m_thread_instrs !thread_instrs;
+  Gpr_obs.Metrics.add m_thread_instrs st.thread_instrs;
 
   if config.collect_trace then
     Some
       {
-        Trace.items = Array.of_list (List.rev !trace_buf);
+        Trace.items = Array.of_list (List.rev st.items);
         warps_per_block;
         num_blocks = nblocks;
-        thread_instructions = !thread_instrs;
+        thread_instructions = st.thread_instrs;
       }
   else None

@@ -94,7 +94,28 @@ let decode t bits =
     f32_of_bits ((s lsl 31) lor (e32 lsl 23) lor m32)
   end
 
-let quantize t x = if t.total_bits = 32 then f32_of_bits (f32_bits x) else decode t (encode t x)
+(* [decode t (encode t x)] without the intermediate pattern: round the
+   f32 mantissa in place (ties to even; a carry moves into the exponent
+   field by itself), then flush or saturate on the narrow exponent range.
+   The precision tuner calls this on every float register write. *)
+let quantize t x =
+  let b = f32_bits x in
+  if t.total_bits = 32 then f32_of_bits b
+  else begin
+    let e = exp_of b and sign = b land 0x8000_0000 in
+    if e = 0xff then if man_of b <> 0 then nan else f32_of_bits (sign lor 0x7f80_0000)
+    else if e = 0 then f32_of_bits sign
+    else begin
+      let shift = 23 - t.man_bits in
+      let mag = b land 0x7fff_ffff in
+      let odd = (mag lsr shift) land 1 in
+      let r = (mag + (1 lsl (shift - 1)) - 1 + odd) land lnot ((1 lsl shift) - 1) in
+      let e' = (r lsr 23) - 127 + bias t in
+      if e' <= 0 then f32_of_bits sign
+      else if e' >= exp_all_ones t then f32_of_bits (sign lor 0x7f80_0000)
+      else f32_of_bits (sign lor r)
+    end
+  end
 
 let is_nan_pattern t bits =
   let e = (bits lsr t.man_bits) land exp_all_ones t in

@@ -13,25 +13,39 @@ let no_reduction ~sites =
   List.iter (fun (pc, _) -> Hashtbl.replace formats pc F.f32) sites;
   { formats; sites; evaluations = 0 }
 
-let quantizer t pc v =
-  match Hashtbl.find_opt t.formats pc with
-  | Some f when f.F.total_bits < 32 -> F.quantize f v
-  | Some _ | None -> v
+(* The quantisation hook reads a pc-indexed format table, kept beside
+   the persisted [formats] Hashtbl: the executor calls it on every float
+   register write. *)
+let by_pc formats sites =
+  let n = List.fold_left (fun acc (pc, _) -> max acc (pc + 1)) 0 sites in
+  let n = Hashtbl.fold (fun pc _ acc -> max acc (pc + 1)) formats n in
+  let table = Array.make n F.f32 in
+  Hashtbl.iter (fun pc _ -> table.(pc) <- Hashtbl.find formats pc) formats;
+  table
+
+let hook table pc v =
+  if pc < 0 || pc >= Array.length table then v
+  else
+    let f = Array.unsafe_get table pc in
+    if f.F.total_bits < 32 then F.quantize f v else v
+
+let quantizer t = hook (by_pc t.formats t.sites)
 
 let tune ?(min_group = 1) ?(budget = max_int) ~sites ~evaluate ~threshold () =
   let formats = Hashtbl.create 16 in
   List.iter (fun (pc, _) -> Hashtbl.replace formats pc F.f32) sites;
+  let table = by_pc formats sites in
+  let set pc f =
+    Hashtbl.replace formats pc f;
+    table.(pc) <- f
+  in
   let evaluations = ref 0 in
   let out_of_budget () = !evaluations >= budget in
   let current_ok quantize =
     incr evaluations;
     Q.meets (evaluate ~quantize) threshold
   in
-  let hook pc v =
-    match Hashtbl.find_opt formats pc with
-    | Some f when f.F.total_bits < 32 -> F.quantize f v
-    | Some _ | None -> v
-  in
+  let hook = hook table in
   (* Tentatively narrow every site of [group] one step; keep on success. *)
   let try_step group =
     if out_of_budget () then false
@@ -42,7 +56,7 @@ let tune ?(min_group = 1) ?(budget = max_int) ~sites ~evaluate ~threshold () =
              let cur = Hashtbl.find formats pc in
              match F.next_narrower cur with
              | Some nxt ->
-               Hashtbl.replace formats pc nxt;
+               set pc nxt;
                Some (pc, cur)
              | None -> None)
           group
@@ -50,7 +64,7 @@ let tune ?(min_group = 1) ?(budget = max_int) ~sites ~evaluate ~threshold () =
       if moved = [] then false
       else if current_ok hook then true
       else begin
-        List.iter (fun (pc, old) -> Hashtbl.replace formats pc old) moved;
+        List.iter (fun (pc, old) -> set pc old) moved;
         false
       end
     end

@@ -371,6 +371,27 @@ let prop_quantize_idempotent =
             (not (Float.is_finite q)) || F.quantize f q = q)
          F.all)
 
+let prop_quantize_is_round_trip =
+  (* Every f32 bit pattern class: normals, denormals, zeros, inf, NaN.
+     The f32 format itself only rounds to single precision. *)
+  QCheck.Test.make ~name:"quantize = decode (encode x)" ~count:2000
+    QCheck.(map Int32.float_of_bits int32)
+    (fun x ->
+       let same f x =
+         Int64.bits_of_float (F.quantize f x)
+         = Int64.bits_of_float
+             (if f.F.total_bits = 32 then Int32.float_of_bits (Int32.bits_of_float x)
+              else F.decode f (F.encode f x))
+       in
+       (* The same pattern moved onto a rounding tie of each format. *)
+       let tie f =
+         let shift = 23 - f.F.man_bits in
+         let b = Int32.to_int (Int32.bits_of_float x) in
+         Int32.float_of_bits
+           (Int32.of_int ((b land lnot ((1 lsl shift) - 1)) lor (1 lsl max 0 (shift - 1))))
+       in
+       List.for_all (fun f -> same f x && same f (tie f)) F.all)
+
 let prop_quantize_monotone_width =
   QCheck.Test.make ~name:"wider format never worse" ~count:500
     (QCheck.float_range (-1e3) 1e3)
@@ -434,6 +455,7 @@ let () =
           q prop_quantize_error_bound;
           q prop_encode_fits_width;
           q prop_quantize_idempotent;
+          q prop_quantize_is_round_trip;
           q prop_quantize_monotone_width;
         ] );
     ]

@@ -643,10 +643,23 @@ module Json = Gpr_obs.Json
 
 let smoke_names = [ "Hotspot"; "DWT2D" ]
 
+(* Process CPU time (user + system), the clock perfbench uses: dune
+   runs the other suites in parallel, and wall time would charge their
+   share of the CPUs to the engine under test. *)
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = cpu_seconds () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, cpu_seconds () -. t0)
+
+(* A single ~15 ms call still moves by a third with one GC slice or a
+   burst of load on a shared host, so the whole smoke set is timed in
+   [timing_rounds] rounds, seconds apart, and each engine's fastest
+   round counts per kernel. *)
+let timing_rounds = 3
 
 (* Per-scheme (cycles, fast seconds, ref seconds) over the smoke set,
    at the same wave count as BENCH_sim.json. *)
@@ -656,37 +669,52 @@ let measure_smoke ~waves =
   in
   Alcotest.(check int) "smoke kernels found" (List.length smoke_names)
     (List.length kernels);
+  let cases =
+    List.map
+      (fun scheme ->
+        let module S = (val scheme : Backend.Scheme) in
+        ( S.id,
+          List.map
+            (fun (w : W.t) ->
+              let trace = W.trace w ~quantize:None in
+              let width = Gpr_analysis.Width.analyze w.kernel ~launch:w.launch in
+              let res = S.analyze ~kernel:w.kernel ~width ~precision:None in
+              let occ =
+                (Backend.occupancy cfg res
+                   ~warps_per_block:(W.warps_per_block w)
+                   ~shared_bytes_per_block:(W.shared_bytes_per_block w))
+                  .Gpr_arch.Occupancy.blocks_per_sm
+              in
+              let mode = Backend.sim_mode scheme res in
+              let alloc = res.Backend.alloc in
+              let fast () = Sim.run ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode in
+              let slow () =
+                ignore (Sim_ref.run ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode)
+              in
+              (fast, slow, ref 0, ref infinity, ref infinity))
+            kernels ))
+      Gpr_backend.Registry.all
+  in
+  for _ = 1 to timing_rounds do
+    List.iter
+      (fun (_, rows) ->
+        List.iter
+          (fun (fast, slow, cycles, best_fast, best_slow) ->
+            let f, fs = time fast in
+            let (), rs = time slow in
+            cycles := f.Sim.cycles;
+            best_fast := Float.min !best_fast fs;
+            best_slow := Float.min !best_slow rs)
+          rows)
+      cases
+  done;
   List.map
-    (fun scheme ->
-      let module S = (val scheme : Backend.Scheme) in
-      let cycles = ref 0 and fast = ref 0.0 and slow = ref 0.0 in
-      List.iter
-        (fun (w : W.t) ->
-          let trace = W.trace w ~quantize:None in
-          let width = Gpr_analysis.Width.analyze w.kernel ~launch:w.launch in
-          let res = S.analyze ~kernel:w.kernel ~width ~precision:None in
-          let occ =
-            (Backend.occupancy cfg res
-               ~warps_per_block:(W.warps_per_block w)
-               ~shared_bytes_per_block:(W.shared_bytes_per_block w))
-              .Gpr_arch.Occupancy.blocks_per_sm
-          in
-          let mode = Backend.sim_mode scheme res in
-          let alloc = res.Backend.alloc in
-          let f, fs =
-            time (fun () ->
-                Sim.run ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode)
-          in
-          let _, rs =
-            time (fun () ->
-                Sim_ref.run ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode)
-          in
-          cycles := !cycles + f.Sim.cycles;
-          fast := !fast +. fs;
-          slow := !slow +. rs)
-        kernels;
-      (S.id, !cycles, !fast, !slow))
-    Gpr_backend.Registry.all
+    (fun (id, rows) ->
+      List.fold_left
+        (fun (id, c, f, s) (_, _, cycles, best_fast, best_slow) ->
+          (id, c + !cycles, f +. !best_fast, s +. !best_slow))
+        (id, 0, 0.0, 0.0) rows)
+    cases
 
 let json_float = function
   | Some (Json.Float f) -> Some f
