@@ -127,11 +127,12 @@ let bindings_for kernel ~data ?(shared = []) () =
 (* Decoded program
 
    Each static instruction is decoded once per kernel into an [op] whose
-   operands are offsets into a warp's register file: register [r] of
-   lane [l] lives at [r.id * 32 + l] of the int or the float file,
-   depending on the context that reads it.  Immediates live in constant
-   slots after the registers (one 32-lane slot per distinct value, so a
-   lane loop reads registers and constants alike from one flat array). *)
+   operands are offsets into a warp's int or float register file,
+   depending on the context that reads them.  Every register used in a
+   file, and every distinct immediate (a constant slot, so a lane loop
+   reads registers and constants alike from one flat array), gets the
+   next 32-lane slot of that file: lane [l] of the slot at offset [o]
+   lives at [o + l]. *)
 
 type load_kind = Load_int | Load_float | Load_never
 
@@ -179,8 +180,11 @@ type program = {
   blocks : site array array;
   terms : term array;
   ipdom : int array;  (** reconvergence block, -1 = none *)
-  iconsts : int array;
-  fconsts : float array;
+  islots : int;  (** 32-lane slots per warp, int file *)
+  fslots : int;
+  iconsts : (int * int) array;  (** offset, value *)
+  fconsts : (int * float) array;
+  specials : (int * special) array;  (** int-file offset, register *)
   clear_i : int array;  (** register offsets to clear per CTA, int file *)
   clear_f : int array;
   source : (instr array * terminator) array;  (** what was decoded *)
@@ -221,36 +225,46 @@ let failure_of read op = match read op with _ -> None | exception Failure m -> S
 let decode kernel =
   let nvr = kernel.k_num_vregs in
   let bases, _ = pc_bases kernel in
-  let intern tbl key v list =
-    match Hashtbl.find_opt tbl key with
-    | Some slot -> slot
-    | None ->
-      let slot = nvr + Hashtbl.length tbl in
-      Hashtbl.add tbl key slot;
-      list := v :: !list;
-      slot
+  let nslots = [| 0; 0 |] in
+  let slot_of = [| Array.make nvr (-1); Array.make nvr (-1) |] in
+  let new_slot file =
+    nslots.(file) <- nslots.(file) + 1;
+    (nslots.(file) - 1) * 32
   in
-  let itbl = Hashtbl.create 16 and ilist = ref [] in
-  let ftbl = Hashtbl.create 16 and flist = ref [] in
-  let reg (r : vreg) =
+  let in_range (r : vreg) =
     if r.id < 0 || r.id >= nvr then
       invalid_arg
-        (Printf.sprintf "Exec.run: %s: vreg %d out of range" kernel.k_name r.id);
-    r.id * 32
+        (Printf.sprintf "Exec.run: %s: vreg %d out of range" kernel.k_name r.id)
   in
+  let reg file (r : vreg) =
+    in_range r;
+    if slot_of.(file).(r.id) < 0 then slot_of.(file).(r.id) <- new_slot file;
+    slot_of.(file).(r.id)
+  in
+  let intern file tbl key v consts =
+    match Hashtbl.find_opt tbl key with
+    | Some o -> o
+    | None ->
+      let o = new_slot file in
+      Hashtbl.add tbl key o;
+      consts := (o, v) :: !consts;
+      o
+  in
+  let itbl = Hashtbl.create 16 and iconsts = ref [] in
+  let ftbl = Hashtbl.create 16 and fconsts = ref [] in
   (* Which file each register is read from and written to, for the
      per-CTA clearing below. *)
   let read = [| Array.make nvr false; Array.make nvr false |] in
   let untracked = Array.make nvr false in
   let written = Array.make nvr 0 in  (* bit 0: int file, bit 1: float file, 4: neither *)
   let rd file (r : vreg) =
-    let o = reg r in
+    let o = reg file r in
     read.(file).(r.id) <- true;
     if r.ty = Pred then untracked.(r.id) <- true;
     o
   in
   let wr file (r : vreg) =
-    let o = reg r in
+    let o = if file < 2 then reg file r else (in_range r; 0) in
     written.(r.id) <- written.(r.id) lor (1 lsl file);
     o
   in
@@ -258,14 +272,14 @@ let decode kernel =
      immediate gets offset 0, and its op never reads it. *)
   let oi = function
     | Reg r -> rd 0 r
-    | Imm_i c -> 32 * intern itbl c c ilist
+    | Imm_i c -> intern 0 itbl c c iconsts
     | Imm_f _ -> 0
   in
   let of_ = function
     | Reg r -> rd 1 r
     | Imm_f c ->
       let v = f32 c in
-      32 * intern ftbl (Int64.bits_of_float v) v flist
+      intern 1 ftbl (Int64.bits_of_float v) v fconsts
     | Imm_i _ -> 0
   in
   let kind (d : vreg) =
@@ -326,8 +340,8 @@ let decode kernel =
   in
   let no_def = { id = -1; ty = Pred; name = "" } in
   let blocks =
-    Array.map
-      (fun blk ->
+    Array.mapi
+      (fun b blk ->
          Array.mapi
            (fun i ins ->
               let def = defs ins in
@@ -336,7 +350,7 @@ let decode kernel =
                 | Some d when d.ty <> Pred -> (Some d.id, d.ty = F32)
                 | _ -> (None, false)
               in
-              { pc = bases.(blk.label) + i;
+              { pc = bases.(b) + i;
                 op = decode_op ins;
                 bar = (match ins with Bar -> true | _ -> false);
                 def = Option.value def ~default:no_def;
@@ -358,8 +372,10 @@ let decode kernel =
          | Ret -> T_ret)
       kernel.k_blocks
   in
-  List.iter (fun (vid, _) -> ignore (wr 0 { id = vid; ty = S32; name = "" }))
-    kernel.k_specials;
+  let specials =
+    List.map (fun (vid, s) -> (wr 0 { id = vid; ty = S32; name = "" }, s))
+      kernel.k_specials
+  in
   let post = Gpr_analysis.Dominance.compute_post (Gpr_isa.Cfg.of_kernel kernel) in
   let ipdom =
     Array.init (Array.length kernel.k_blocks) (fun b ->
@@ -377,14 +393,15 @@ let decode kernel =
          if read.(file).(r)
          && (untracked.(r) || written.(r) <> 1 lsl file
              || Gpr_analysis.Liveness.Iset.mem r live)
-         then Some (r * 32)
+         then Some slot_of.(file).(r)
          else None)
       (List.init nvr Fun.id)
     |> Array.of_list
   in
   { blocks; terms; ipdom;
-    iconsts = Array.of_list (List.rev !ilist);
-    fconsts = Array.of_list (List.rev !flist);
+    islots = nslots.(0); fslots = nslots.(1);
+    iconsts = Array.of_list !iconsts; fconsts = Array.of_list !fconsts;
+    specials = Array.of_list specials;
     clear_i = cleared 0; clear_f = cleared 1;
     source = Array.map (fun blk -> (blk.instrs, blk.term)) kernel.k_blocks }
 
@@ -417,9 +434,9 @@ type warp = {
 }
 
 (* One run's state, shared by the lane loops.  The register files of
-   all warps of a CTA live in [ri] and [rf], allocated once per run and
-   re-zeroed per CTA; the constant slots after each warp's registers
-   are filled once. *)
+   all warps of a CTA live in [ri] and [rf]: taken once per run (see
+   [take_files]), the constant slots after each warp's registers filled
+   once, the slots in [prog.clear_*] cleared per CTA. *)
 type state = {
   prog : program;
   kernel : kernel;
@@ -960,9 +977,9 @@ let start_cta st warps ~launch block_id =
          let t = (w.wid * 32) + lane in
          if t < tpb then begin
            let tx = t mod launch.ntid_x and ty = t / launch.ntid_x in
-           List.iter
-             (fun (vid, s) ->
-                st.ri.(w.ibase + (vid * 32) + lane) <-
+           Array.iter
+             (fun (o, s) ->
+                st.ri.(w.ibase + o + lane) <-
                   (match s with
                    | Tid_x -> tx
                    | Tid_y -> ty
@@ -972,7 +989,7 @@ let start_cta st warps ~launch block_id =
                    | Ctaid_y -> by
                    | Nctaid_x -> launch.nctaid_x
                    | Nctaid_y -> launch.nctaid_y))
-             kernel.k_specials
+             st.prog.specials
          end
        done)
     warps
@@ -1040,9 +1057,7 @@ let run ?(check = false) kernel ~launch ~params ~bindings (config : config) =
   let tpb = threads_per_block launch in
   let warps_per_block = (tpb + 31) / 32 in
   let nblocks = num_blocks launch in
-  let nvr = kernel.k_num_vregs in
-  let istride = (nvr + Array.length prog.iconsts) * 32 in
-  let fstride = (nvr + Array.length prog.fconsts) * 32 in
+  let istride = prog.islots * 32 and fstride = prog.fslots * 32 in
   let ri, rf = take_files (warps_per_block * istride) (warps_per_block * fstride) in
   let st =
     { prog; kernel; ri; rf;
@@ -1059,12 +1074,8 @@ let run ?(check = false) kernel ~launch ~params ~bindings (config : config) =
           if (wid * 32) + lane < tpb then valid := !valid lor (1 lsl lane)
         done;
         let ibase = wid * istride and fbase = wid * fstride in
-        Array.iteri
-          (fun k c -> Array.fill st.ri (ibase + ((nvr + k) * 32)) 32 c)
-          prog.iconsts;
-        Array.iteri
-          (fun k c -> Array.fill st.rf (fbase + ((nvr + k) * 32)) 32 c)
-          prog.fconsts;
+        Array.iter (fun (o, c) -> Array.fill st.ri (ibase + o) 32 c) prog.iconsts;
+        Array.iter (fun (o, c) -> Array.fill st.rf (fbase + o) 32 c) prog.fconsts;
         { wid; valid = !valid; ibase; fbase; stack = []; exited = 0 })
   in
   let finished = Array.make warps_per_block false in

@@ -691,9 +691,11 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
   let ready_sfu = ref 0 in
   let ready_ldst = ref 0 in
   (* ctz via the classic mod-67 perfect hash (2 is a primitive root
-     mod 67, so 2^k mod 67 is injective for k = 0..62). *)
+     mod 67, so 2^k mod 67 is injective for k = 0..62).  Masks only
+     use bits 0..61 ([cu_mask_ok]); [1 lsl 62] is negative, and this
+     module is built with -unsafe, so bit 62 must not be stored. *)
   let ctz_tbl = Array.make 67 0 in
-  for k = 0 to 62 do
+  for k = 0 to 61 do
     ctz_tbl.(1 lsl k mod 67) <- k
   done;
   (* [u] is passed explicitly because [do_issue] marks a fresh CU

@@ -606,6 +606,69 @@ let test_budget_on_empty_loop () =
             ~data:[ ("out", E.I_data (Array.make 32 0)) ]
             ~config:{ E.default_config with max_steps = Some 1000 } ()))
 
+(* ---------------------------------------------------------------- *)
+(* Register files are reused across CTAs and runs: a slot a lane reads
+   before its own path wrote it must still read 0. *)
+
+let test_registers_cleared_between_ctas () =
+  (* Only CTA 0 defines r5 and f6; CTA 1 reads both undefined. *)
+  let r5 = vr 5 S32 and f6 = vr 6 F32 and ctaid = vr 4 S32 in
+  let fout = { out_buf with buf_id = 1; buf_name = "fout"; buf_elem = F32 } in
+  let k =
+    {
+      k_name = "stale";
+      k_blocks =
+        [| { label = 0; instrs = [| Setp (Eq, S32, pred, Reg ctaid, Imm_i 0) |];
+             term = Cbr (pred, 1, 2) };
+           { label = 1; instrs = [| Mov (r5, Imm_i 42); Mov (f6, Imm_f 2.5) |];
+             term = Br 2 };
+           { label = 2;
+             instrs =
+               [| Ibin (Add, ri, Reg tid, Imm_i 0);
+                  Imad (ri, Reg ctaid, Imm_i 32, Reg ri);
+                  St ({ abuf = out_buf; aindex = Reg ri }, Reg r5);
+                  St ({ abuf = fout; aindex = Reg ri }, Reg f6) |];
+             term = Ret } |];
+      k_params = [||];
+      k_buffers = [| out_buf; fout |];
+      k_num_vregs = 7;
+      k_specials = [ (0, Tid_x); (4, Ctaid_x) ];
+    }
+  in
+  let outd = Array.make 64 (-1) and foutd = Array.make 64 (-1.0) in
+  ignore
+    (run_kernel k ~launch:(launch_1d ~block:32 ~grid:2) ~params:[||]
+       ~data:[ ("out", E.I_data outd); ("fout", E.F_data foutd) ] ());
+  Alcotest.(check int) "cta 0 int" 42 outd.(0);
+  Alcotest.(check (float 0.0)) "cta 0 float" 2.5 foutd.(31);
+  Alcotest.(check int) "cta 1 int" 0 outd.(32);
+  Alcotest.(check (float 0.0)) "cta 1 float" 0.0 foutd.(63)
+
+let test_registers_cleared_between_runs () =
+  (* The first kernel fills int slot 5; the second defines register 5
+     only in the float file and reads its int slot. *)
+  let r5 = vr 5 S32 in
+  let writer =
+    [| Ibin (Add, r5, Reg tid, Imm_i 100); St ({ abuf = out_buf; aindex = Reg tid }, Reg r5) |]
+  in
+  let reader =
+    [| Mov (vr 5 F32, Imm_f 1.5); Ibin (Add, ri, Reg r5, Imm_i 7);
+       St ({ abuf = out_buf; aindex = Reg tid }, Reg ri) |]
+  in
+  let run body =
+    let outd = Array.make 32 (-1) in
+    let k = guarded_kernel body in
+    ignore
+      (run_kernel { k with k_num_vregs = 6;
+                           k_blocks = [| { (k.k_blocks.(0)) with instrs = [||]; term = Br 1 };
+                                         k.k_blocks.(1); k.k_blocks.(2) |] }
+         ~launch:(launch_1d ~block:32 ~grid:1) ~params:[||]
+         ~data:[ ("out", E.I_data outd) ] ());
+    outd
+  in
+  Alcotest.(check int) "writer" 105 (run writer).(5);
+  Alcotest.(check int) "reader sees a zero slot" 7 (run reader).(5)
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~verbose:false in
   Alcotest.run "exec"
@@ -643,6 +706,13 @@ let () =
             test_store_checks_bounds_before_value;
           Alcotest.test_case "memory errors" `Quick test_memory_errors;
           Alcotest.test_case "budget on empty loop" `Quick test_budget_on_empty_loop;
+        ] );
+      ( "register files",
+        [
+          Alcotest.test_case "cleared between CTAs" `Quick
+            test_registers_cleared_between_ctas;
+          Alcotest.test_case "cleared between runs" `Quick
+            test_registers_cleared_between_runs;
         ] );
       ( "pins",
         List.map
