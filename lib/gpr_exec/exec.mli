@@ -11,7 +11,12 @@
       ({!Gpr_sim}).
 
     Deterministic: blocks run in linear CTA order, warps round-robin at
-    barrier granularity. *)
+    barrier granularity.
+
+    Each kernel is decoded once per domain and the program is memoised
+    by the kernel's physical identity; replacing a block's [instrs]
+    array or [term] makes the next run decode it again, while writing
+    into a block's [instrs] array in place after a run does not. *)
 
 open Gpr_isa.Types
 

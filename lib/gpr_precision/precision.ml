@@ -16,9 +16,8 @@ let no_reduction ~sites =
 (* The quantisation hook reads a pc-indexed format table, kept beside
    the persisted [formats] Hashtbl: the executor calls it on every float
    register write. *)
-let by_pc formats sites =
-  let n = List.fold_left (fun acc (pc, _) -> max acc (pc + 1)) 0 sites in
-  let n = Hashtbl.fold (fun pc _ acc -> max acc (pc + 1)) formats n in
+let by_pc formats =
+  let n = Hashtbl.fold (fun pc _ acc -> max acc (pc + 1)) formats 0 in
   let table = Array.make n F.f32 in
   Hashtbl.iter (fun pc _ -> table.(pc) <- Hashtbl.find formats pc) formats;
   table
@@ -29,12 +28,12 @@ let hook table pc v =
     let f = Array.unsafe_get table pc in
     if f.F.total_bits < 32 then F.quantize f v else v
 
-let quantizer t = hook (by_pc t.formats t.sites)
+let quantizer t = hook (by_pc t.formats)
 
 let tune ?(min_group = 1) ?(budget = max_int) ~sites ~evaluate ~threshold () =
   let formats = Hashtbl.create 16 in
   List.iter (fun (pc, _) -> Hashtbl.replace formats pc F.f32) sites;
-  let table = by_pc formats sites in
+  let table = by_pc formats in
   let set pc f =
     Hashtbl.replace formats pc f;
     table.(pc) <- f
