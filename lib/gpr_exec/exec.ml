@@ -185,6 +185,8 @@ type program = {
   iconsts : (int * int) array;  (** offset, value *)
   fconsts : (int * float) array;
   specials : (int * special) array;  (** int-file offset, register *)
+  clear_i : int array;  (** register offsets to clear per CTA, int file *)
+  clear_f : int array;
   source : (instr array * terminator) array;  (** what was decoded *)
 }
 
@@ -250,15 +252,31 @@ let decode kernel =
   in
   let itbl = Hashtbl.create 16 and iconsts = ref [] in
   let ftbl = Hashtbl.create 16 and fconsts = ref [] in
+  (* Which file each register is read from and written to, for the
+     per-CTA clearing below. *)
+  let read = [| Array.make nvr false; Array.make nvr false |] in
+  let untracked = Array.make nvr false in
+  let written = Array.make nvr 0 in  (* bit 0: int file, bit 1: float file, 4: neither *)
+  let rd file (r : vreg) =
+    let o = reg file r in
+    read.(file).(r.id) <- true;
+    if r.ty = Pred then untracked.(r.id) <- true;
+    o
+  in
+  let wr file (r : vreg) =
+    let o = if file < 2 then reg file r else (in_range r; 0) in
+    written.(r.id) <- written.(r.id) lor (1 lsl file);
+    o
+  in
   (* Offsets of an operand read in int / float context; an ill-typed
      immediate gets offset 0, and its op never reads it. *)
   let oi = function
-    | Reg r -> reg 0 r
+    | Reg r -> rd 0 r
     | Imm_i c -> intern 0 itbl c c iconsts
     | Imm_f _ -> 0
   in
   let of_ = function
-    | Reg r -> reg 1 r
+    | Reg r -> rd 1 r
     | Imm_f c ->
       let v = f32 c in
       intern 1 ftbl (Int64.bits_of_float v) v fconsts
@@ -267,11 +285,8 @@ let decode kernel =
   let kind (d : vreg) =
     match d.ty with S32 | U32 -> Load_int | F32 -> Load_float | Pred -> Load_never
   in
-  let dst_kind (d : vreg) =
-    match kind d with
-    | Load_int -> reg 0 d
-    | Load_float -> reg 1 d
-    | Load_never -> in_range d; 0
+  let wr_kind (d : vreg) =
+    match kind d with Load_int -> wr 0 d | Load_float -> wr 1 d | Load_never -> wr 2 d
   in
   let decode_op ins =
     match ins with
@@ -283,42 +298,42 @@ let decode kernel =
       match ins, operand_failure ins with
       | (Selp _ | St _), _ | _, None ->
         (match ins with
-         | Ibin (op, d, a, b) -> Int_bin (op, d.ty = U32, reg 0 d, oi a, oi b)
-         | Iun (op, d, a) -> Int_un (op, d.ty = U32, reg 0 d, oi a)
-         | Imad (d, a, b, c) -> Int_mad (d.ty = U32, reg 0 d, oi a, oi b, oi c)
-         | Fbin (op, d, a, b) -> Flt_bin (op, reg 1 d, of_ a, of_ b)
-         | Fun (op, d, a) -> Flt_un (op, reg 1 d, of_ a)
-         | Ffma (d, a, b, c) -> Flt_fma (reg 1 d, of_ a, of_ b, of_ c)
+         | Ibin (op, d, a, b) -> Int_bin (op, d.ty = U32, wr 0 d, oi a, oi b)
+         | Iun (op, d, a) -> Int_un (op, d.ty = U32, wr 0 d, oi a)
+         | Imad (d, a, b, c) -> Int_mad (d.ty = U32, wr 0 d, oi a, oi b, oi c)
+         | Fbin (op, d, a, b) -> Flt_bin (op, wr 1 d, of_ a, of_ b)
+         | Fun (op, d, a) -> Flt_un (op, wr 1 d, of_ a)
+         | Ffma (d, a, b, c) -> Flt_fma (wr 1 d, of_ a, of_ b, of_ c)
          | Setp (op, ty, p, a, b) ->
-           if ty = F32 then Cmp_flt (op, reg 0 p, of_ a, of_ b)
-           else Cmp_int (op, ty = U32, reg 0 p, oi a, oi b)
+           if ty = F32 then Cmp_flt (op, wr 0 p, of_ a, of_ b)
+           else Cmp_int (op, ty = U32, wr 0 p, oi a, oi b)
          | Selp (d, a, b, p) ->
            let float = d.ty = F32 in
            let sel =
-             if float then Sel_flt (reg 1 d, of_ a, of_ b, reg 0 p)
-             else Sel_int (reg 0 d, oi a, oi b, reg 0 p)
+             if float then Sel_flt (wr 1 d, of_ a, of_ b, rd 0 p)
+             else Sel_int (wr 0 d, oi a, oi b, rd 0 p)
            in
            let failure op =
              if float then failure_of read_f op else failure_of read_i op
            in
            (match failure a, failure b with
             | None, None -> sel
-            | fa, fb -> Sel_checked (reg 0 p, fa, fb, sel))
+            | fa, fb -> Sel_checked (rd 0 p, fa, fb, sel))
          | Mov (d, a) ->
-           if d.ty = F32 then Mov_flt (reg 1 d, of_ a) else Mov_int (reg 0 d, oi a)
+           if d.ty = F32 then Mov_flt (wr 1 d, of_ a) else Mov_int (wr 0 d, oi a)
          | Cvt (op, d, a) ->
            (match op with
-            | F32_of_s32 | F32_of_u32 -> Cvt_to_flt (op = F32_of_u32, reg 1 d, oi a)
-            | S32_of_f32 | U32_of_f32 -> Cvt_to_int (op = U32_of_f32, reg 0 d, of_ a)
-            | S32_of_u32 | U32_of_s32 -> Cvt_int (op = U32_of_s32, reg 0 d, oi a))
-         | Ld (d, { abuf; aindex }) -> Load (abuf.buf_id, kind d, dst_kind d, oi aindex)
+            | F32_of_s32 | F32_of_u32 -> Cvt_to_flt (op = F32_of_u32, wr 1 d, oi a)
+            | S32_of_f32 | U32_of_f32 -> Cvt_to_int (op = U32_of_f32, wr 0 d, of_ a)
+            | S32_of_u32 | U32_of_s32 -> Cvt_int (op = U32_of_s32, wr 0 d, oi a))
+         | Ld (d, { abuf; aindex }) -> Load (abuf.buf_id, kind d, wr_kind d, oi aindex)
          | St ({ abuf; aindex }, v) ->
            (match failure_of read_i aindex with
             | Some m -> Fail m
             | None ->
               Store (abuf.buf_id, oi aindex, oi v, of_ v, failure_of read_i v,
                      failure_of read_f v))
-         | Ld_param (d, i) -> Param (i, kind d, dst_kind d)
+         | Ld_param (d, i) -> Param (i, kind d, wr_kind d)
          | Bar -> Sync
          | Phi _ | Pi _ -> assert false)
       | _, Some msg -> Fail msg
@@ -353,12 +368,12 @@ let decode kernel =
       (fun blk ->
          match blk.term with
          | Br l -> T_br l
-         | Cbr (p, t, f) -> T_cbr (reg 0 p, t, f)
+         | Cbr (p, t, f) -> T_cbr (rd 0 p, t, f)
          | Ret -> T_ret)
       kernel.k_blocks
   in
   let specials =
-    List.map (fun (vid, s) -> (reg 0 { id = vid; ty = S32; name = "" }, s))
+    List.map (fun (vid, s) -> (wr 0 { id = vid; ty = S32; name = "" }, s))
       kernel.k_specials
   in
   let post = Gpr_analysis.Dominance.compute_post (Gpr_isa.Cfg.of_kernel kernel) in
@@ -366,10 +381,28 @@ let decode kernel =
     Array.init (Array.length kernel.k_blocks) (fun b ->
         Option.value (Gpr_analysis.Dominance.ipdom post b) ~default:(-1))
   in
+  (* A lane reads a register slot that no instruction of its own path
+     wrote earlier in the CTA only if the register is live at kernel
+     entry (a per-lane path is a CFG path), or if some definition writes
+     the other file.  Only those slots, and predicates (which liveness
+     does not track), need clearing between CTAs. *)
+  let live = Gpr_analysis.Liveness.(live_in (compute kernel) 0) in
+  let cleared file =
+    List.filter_map
+      (fun r ->
+         if read.(file).(r)
+         && (untracked.(r) || written.(r) <> 1 lsl file
+             || Gpr_analysis.Liveness.Iset.mem r live)
+         then Some slot_of.(file).(r)
+         else None)
+      (List.init nvr Fun.id)
+    |> Array.of_list
+  in
   { blocks; terms; ipdom;
     islots = nslots.(0); fslots = nslots.(1);
     iconsts = Array.of_list !iconsts; fconsts = Array.of_list !fconsts;
     specials = Array.of_list specials;
+    clear_i = cleared 0; clear_f = cleared 1;
     source = Array.map (fun blk -> (blk.instrs, blk.term)) kernel.k_blocks }
 
 (* A kernel whose blocks were replaced since it was decoded is decoded
@@ -402,7 +435,8 @@ type warp = {
 
 (* One run's state, shared by the lane loops.  The register files of
    all warps of a CTA live in [ri] and [rf]: taken once per run (see
-   [take_files]) and cleared per CTA. *)
+   [take_files]), the constant slots after each warp's registers filled
+   once, the slots in [prog.clear_*] cleared per CTA. *)
 type state = {
   prog : program;
   kernel : kernel;
@@ -917,7 +951,7 @@ let race_reset race =
     race
 
 (* Start CTA [block_id]: clear shared memory, the race records and the
-   warps' register files, refill the constant slots and seed the special
+   register slots a lane could read before writing, and seed the special
    registers of every valid lane. *)
 let start_cta st warps ~launch block_id =
   let kernel = st.kernel in
@@ -935,10 +969,8 @@ let start_cta st warps ~launch block_id =
   race_reset st.race;
   Array.iter
     (fun w ->
-       Array.fill st.ri w.ibase (st.prog.islots * 32) 0;
-       Array.fill st.rf w.fbase (st.prog.fslots * 32) 0.0;
-       Array.iter (fun (o, c) -> Array.fill st.ri (w.ibase + o) 32 c) st.prog.iconsts;
-       Array.iter (fun (o, c) -> Array.fill st.rf (w.fbase + o) 32 c) st.prog.fconsts;
+       Array.iter (fun o -> Array.fill st.ri (w.ibase + o) 32 0) st.prog.clear_i;
+       Array.iter (fun o -> Array.fill st.rf (w.fbase + o) 32 0.0) st.prog.clear_f;
        w.stack <- [ { rpc = -1; blk = 0; idx = 0; mask = w.valid } ];
        w.exited <- 0;
        for lane = 0 to 31 do
@@ -1041,8 +1073,10 @@ let run ?(check = false) kernel ~launch ~params ~bindings (config : config) =
         for lane = 0 to 31 do
           if (wid * 32) + lane < tpb then valid := !valid lor (1 lsl lane)
         done;
-        { wid; valid = !valid; ibase = wid * istride; fbase = wid * fstride;
-          stack = []; exited = 0 })
+        let ibase = wid * istride and fbase = wid * fstride in
+        Array.iter (fun (o, c) -> Array.fill st.ri (ibase + o) 32 c) prog.iconsts;
+        Array.iter (fun (o, c) -> Array.fill st.rf (fbase + o) 32 c) prog.fconsts;
+        { wid; valid = !valid; ibase; fbase; stack = []; exited = 0 })
   in
   let finished = Array.make warps_per_block false in
   for block_id = 0 to nblocks - 1 do
