@@ -698,7 +698,7 @@ let () =
           Alcotest.test_case "trace contents" `Quick test_trace_contents;
           Alcotest.test_case "oob raises" `Quick test_out_of_bounds_raises;
         ] );
-      ( "run-time errors",
+      ( "runtime errors",
         [
           Alcotest.test_case "ill-typed immediates" `Quick test_ill_typed_immediates;
           Alcotest.test_case "selp evaluates lazily" `Quick test_selp_evaluates_lazily;
