@@ -45,20 +45,19 @@ let[@inline] ftou_trunc x =
 (* Memoised per kernel (physical identity), in a short bounded
    association list: callers work on a handful of kernels at a time.
    The tables are domain-local so worker domains of the execution engine
-   never contend (or race) on them; each domain warms its own copy.
-   [valid] re-checks an entry against the kernel's current blocks. *)
-let kernel_memo ?(valid = fun _ _ -> true) f =
+   never contend (or race) on them; each domain warms its own copy. *)
+let kernel_memo f =
   let limit = 8 in
   let key = Domain.DLS.new_key (fun () -> ref []) in
   fun kernel ->
     let cache = Domain.DLS.get key in
     match List.assq_opt kernel !cache with
-    | Some r when valid kernel r -> r
-    | _ ->
+    | Some r -> r
+    | None ->
       let r = f kernel in
       cache :=
         (kernel, r)
-        :: List.filteri (fun i (k, _) -> i < limit - 1 && k != kernel) !cache;
+        :: List.filteri (fun i _ -> i < limit - 1) !cache;
       r
 
 (* Static instruction numbering.  [static_pc] is called from hot
@@ -187,7 +186,6 @@ type program = {
   specials : (int * special) array;  (** int-file offset, register *)
   clear_i : int array;  (** register offsets to clear per CTA, int file *)
   clear_f : int array;
-  source : (instr array * terminator) array;  (** what was decoded *)
 }
 
 (* The interpreter's operand reads, in its evaluation order, for an
@@ -331,12 +329,35 @@ let decode kernel =
            (match failure_of read_i aindex with
             | Some m -> Fail m
             | None ->
-              Store (abuf.buf_id, oi aindex, oi v, of_ v, failure_of read_i v,
-                     failure_of read_f v))
+              (* The binding's storage type picks the file the value is
+                 read from at run time.  In a file no instruction writes
+                 the register in, it always reads 0: the constant 0
+                 slot, so the store neither widens nor clears that
+                 file.  Stores are decoded last, once [written] is
+                 complete. *)
+              let value file o =
+                match v with
+                | Reg r when written.(r.id) land (1 lsl file) = 0 ->
+                  if file = 0 then intern 0 itbl 0 0 iconsts
+                  else intern 1 ftbl (Int64.bits_of_float 0.0) 0.0 fconsts
+                | _ -> o v
+              in
+              Store (abuf.buf_id, oi aindex, value 0 oi, value 1 of_,
+                     failure_of read_i v, failure_of read_f v))
          | Ld_param (d, i) -> Param (i, kind d, wr_kind d)
          | Bar -> Sync
          | Phi _ | Pi _ -> assert false)
       | _, Some msg -> Fail msg
+  in
+  let specials =
+    List.map (fun (vid, s) -> (wr 0 { id = vid; ty = S32; name = "" }, s))
+      kernel.k_specials
+  in
+  let ops =
+    Array.map
+      (fun blk ->
+         Array.map (function St _ -> Sync | ins -> decode_op ins) blk.instrs)
+      kernel.k_blocks
   in
   let no_def = { id = -1; ty = Pred; name = "" } in
   let blocks =
@@ -351,7 +372,7 @@ let decode kernel =
                 | _ -> (None, false)
               in
               { pc = bases.(b) + i;
-                op = decode_op ins;
+                op = (match ins with St _ -> decode_op ins | _ -> ops.(b).(i));
                 bar = (match ins with Bar -> true | _ -> false);
                 def = Option.value def ~default:no_def;
                 unit = unit_class_of ins;
@@ -371,10 +392,6 @@ let decode kernel =
          | Cbr (p, t, f) -> T_cbr (rd 0 p, t, f)
          | Ret -> T_ret)
       kernel.k_blocks
-  in
-  let specials =
-    List.map (fun (vid, s) -> (wr 0 { id = vid; ty = S32; name = "" }, s))
-      kernel.k_specials
   in
   let post = Gpr_analysis.Dominance.compute_post (Gpr_isa.Cfg.of_kernel kernel) in
   let ipdom =
@@ -402,17 +419,9 @@ let decode kernel =
     islots = nslots.(0); fslots = nslots.(1);
     iconsts = Array.of_list !iconsts; fconsts = Array.of_list !fconsts;
     specials = Array.of_list specials;
-    clear_i = cleared 0; clear_f = cleared 1;
-    source = Array.map (fun blk -> (blk.instrs, blk.term)) kernel.k_blocks }
+    clear_i = cleared 0; clear_f = cleared 1 }
 
-(* A kernel whose blocks were replaced since it was decoded is decoded
-   again rather than run from a stale program. *)
-let program =
-  kernel_memo decode ~valid:(fun kernel p ->
-      Array.length p.source = Array.length kernel.k_blocks
-      && Array.for_all2
-           (fun (instrs, term) blk -> instrs == blk.instrs && term == blk.term)
-           p.source kernel.k_blocks)
+let program = kernel_memo decode
 
 (* ------------------------------------------------------------------ *)
 (* Run state *)

@@ -14,9 +14,8 @@
     barrier granularity.
 
     Each kernel is decoded once per domain and the program is memoised
-    by the kernel's physical identity; replacing a block's [instrs]
-    array or [term] makes the next run decode it again, while writing
-    into a block's [instrs] array in place after a run does not. *)
+    by the kernel's physical identity, like its static pc numbering: a
+    kernel must not be modified after its first run. *)
 
 open Gpr_isa.Types
 

@@ -43,3 +43,15 @@ let percentile xs p =
       let hi = min (n - 1) (lo + 1) in
       let frac = rank -. float_of_int lo in
       (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
+
+let best_cpu_times ~rounds fs =
+  let best = Array.make (Array.length fs) infinity in
+  for _ = 1 to rounds do
+    Array.iteri
+      (fun i f ->
+        let t0 = Sys.time () in
+        f ();
+        best.(i) <- Float.min best.(i) (Sys.time () -. t0))
+      fs
+  done;
+  best

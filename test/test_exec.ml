@@ -669,6 +669,41 @@ let test_registers_cleared_between_runs () =
   Alcotest.(check int) "writer" 105 (run writer).(5);
   Alcotest.(check int) "reader sees a zero slot" 7 (run reader).(5)
 
+(* A store reads its value in the file its buffer's element type
+   selects: a register never written in that file stores 0, one
+   written in both files stores that file's value. *)
+let test_store_value_file () =
+  let fout = { out_buf with buf_id = 1; buf_name = "fout"; buf_elem = F32 } in
+  let r5f = vr 5 F32 and r5i = vr 5 S32 and hi = vr 6 S32 in
+  let k =
+    {
+      k_name = "files";
+      k_blocks =
+        [| { label = 0;
+             instrs =
+               [| Mov (rf, Imm_f 2.5); Ibin (Add, ri, Reg tid, Imm_i 7);
+                  Mov (r5f, Imm_f 1.5); Ibin (Add, r5i, Reg tid, Imm_i 100);
+                  Ibin (Add, hi, Reg tid, Imm_i 32);
+                  St ({ abuf = out_buf; aindex = Reg tid }, Reg rf);
+                  St ({ abuf = fout; aindex = Reg tid }, Reg ri);
+                  St ({ abuf = out_buf; aindex = Reg hi }, Reg r5f);
+                  St ({ abuf = fout; aindex = Reg hi }, Reg r5i) |];
+             term = Ret } |];
+      k_params = [||];
+      k_buffers = [| out_buf; fout |];
+      k_num_vregs = 7;
+      k_specials = [ (0, Tid_x) ];
+    }
+  in
+  let outd = Array.make 64 (-1) and foutd = Array.make 64 (-1.0) in
+  ignore
+    (run_kernel k ~launch:(launch_1d ~block:32 ~grid:1) ~params:[||]
+       ~data:[ ("out", E.I_data outd); ("fout", E.F_data foutd) ] ());
+  Alcotest.(check int) "float register, int buffer" 0 outd.(3);
+  Alcotest.(check (float 0.0)) "int register, float buffer" 0.0 foutd.(3);
+  Alcotest.(check int) "both files, int buffer" 103 outd.(35);
+  Alcotest.(check (float 0.0)) "both files, float buffer" 1.5 foutd.(35)
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~verbose:false in
   Alcotest.run "exec"
@@ -713,6 +748,7 @@ let () =
             test_registers_cleared_between_ctas;
           Alcotest.test_case "cleared between runs" `Quick
             test_registers_cleared_between_runs;
+          Alcotest.test_case "store value file" `Quick test_store_value_file;
         ] );
       ( "pins",
         List.map

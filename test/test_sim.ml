@@ -643,39 +643,13 @@ module Json = Gpr_obs.Json
 
 let smoke_names = [ "Hotspot"; "DWT2D" ]
 
-(* Process CPU time (user + system), the clock perfbench uses: dune
-   runs the other suites in parallel, and wall time would charge their
-   share of the CPUs to the engine under test. *)
-let cpu_seconds () = Sys.time ()
-
-(* Seconds per call of [f], repeated until [min_sample] seconds have
-   passed: a single ~15 ms call is too short to time against the
-   scheduler tick and one GC slice. *)
-let min_sample = 0.05
-
-let time f =
-  let t0 = cpu_seconds () in
-  let rec go n =
-    let r = f () in
-    let dt = cpu_seconds () -. t0 in
-    if dt >= min_sample then (r, dt /. float_of_int n) else go (n + 1)
-  in
-  go 1
-
-(* Load on a shared host only ever adds time, so each engine's fastest
-   sample per kernel counts.  The smoke set is timed in [timing_rounds]
-   rounds; while [settled] rejects the result, further rounds re-time
-   the flat engine alone, [retime_pause] seconds apart, for up to
-   [retime_budget] wall seconds.  A longer minimum can only move a rate
-   towards the machine's unloaded speed, never past it, so stopping
-   early gives the verdict the full budget would. *)
-let timing_rounds = 3
-let retime_pause = 0.5
-let retime_budget = 60.0
-
 (* Per-scheme (cycles, fast seconds, ref seconds) over the smoke set,
-   at the same wave count as BENCH_sim.json. *)
-let measure_smoke ~waves ~settled =
+   at the same wave count and with the same statistic as
+   BENCH_sim.json: after one untimed call, each engine's fastest of
+   [rounds] calls per kernel in process CPU time (dune runs the other
+   suites in parallel, and wall time would charge their share of the
+   CPUs to the engine under test). *)
+let measure_smoke ~waves ~rounds =
   let kernels =
     List.filter_map Gpr_workloads.Registry.by_name smoke_names
   in
@@ -703,48 +677,34 @@ let measure_smoke ~waves ~settled =
               let slow () =
                 ignore (Sim_ref.run ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode)
               in
-              (fast, slow, ref 0, ref infinity, ref infinity))
+              let cycles = (fast ()).Sim.cycles in
+              slow ();
+              (cycles, (fun () -> ignore (fast ())), slow))
             kernels ))
       Gpr_backend.Registry.all
   in
-  let round ~with_ref =
-    List.iter
-      (fun (_, rows) ->
-        List.iter
-          (fun (fast, slow, cycles, best_fast, best_slow) ->
-            let f, fs = time fast in
-            cycles := f.Sim.cycles;
-            best_fast := Float.min !best_fast fs;
-            if with_ref then begin
-              let (), rs = time slow in
-              best_slow := Float.min !best_slow rs
-            end)
-          rows)
-      cases
+  let best =
+    Gpr_util.Stats.best_cpu_times ~rounds
+      (Array.of_list
+         (List.concat_map
+            (fun (_, rows) ->
+              List.concat_map (fun (_, fast, slow) -> [ fast; slow ]) rows)
+            cases))
   in
-  let summary () =
-    List.map
-      (fun (id, rows) ->
-        List.fold_left
-          (fun (id, c, f, s) (_, _, cycles, best_fast, best_slow) ->
-            (id, c + !cycles, f +. !best_fast, s +. !best_slow))
-          (id, 0, 0.0, 0.0) rows)
-      cases
+  let next = ref 0 in
+  let take () =
+    incr next;
+    best.(!next - 1)
   in
-  for _ = 1 to timing_rounds do
-    round ~with_ref:true
-  done;
-  let deadline = Unix.gettimeofday () +. retime_budget in
-  let rec settle () =
-    let measured = summary () in
-    if settled measured || Unix.gettimeofday () >= deadline then measured
-    else begin
-      Unix.sleepf retime_pause;
-      round ~with_ref:false;
-      settle ()
-    end
-  in
-  settle ()
+  List.map
+    (fun (id, rows) ->
+      List.fold_left
+        (fun (id, c, f, s) (cycles, _, _) ->
+          let fs = take () in
+          let rs = take () in
+          (id, c + cycles, f +. fs, s +. rs))
+        (id, 0, 0.0, 0.0) rows)
+    cases
 
 let json_float = function
   | Some (Json.Float f) -> Some f
@@ -800,38 +760,12 @@ let test_sim_throughput_regression () =
       | Some (Json.Int w) -> w
       | _ -> 6
     in
-    (* Gate 2: absolute throughput vs the committed baseline, only
-       meaningful on the machine that produced it (no committed
-       baseline: gate 1 alone runs). *)
-    let same_host =
-      match Option.bind json (Json.member "host") with
-      | Some (Json.Str h) -> h = Unix.gethostname ()
-      | _ -> false
+    let rounds =
+      match Option.bind json (Json.member "rounds") with
+      | Some (Json.Int r) -> r
+      | _ -> 5
     in
-    let regressions measured =
-      match json with
-      | Some json when same_host ->
-        List.filter_map
-          (fun (id, cycles, fast, _) ->
-            match committed_smoke_rate json id with
-            | None -> None
-            | Some committed ->
-              let rate =
-                if fast > 0.0 then float_of_int cycles /. fast else 0.0
-              in
-              if rate < 0.7 *. committed then
-                Some
-                  (Printf.sprintf
-                     "%s: %.2f Mcyc/s is a >30%% regression vs the committed \
-                      %.2f Mcyc/s"
-                     id (rate /. 1e6) (committed /. 1e6))
-              else None)
-          measured
-      | _ -> []
-    in
-    let measured =
-      measure_smoke ~waves ~settled:(fun m -> regressions m = [])
-    in
+    let measured = measure_smoke ~waves ~rounds in
     (* Gate 1: the flat engine earns its keep on any machine. *)
     List.iter
       (fun (id, _, fast, slow) ->
@@ -842,9 +776,31 @@ let test_sim_throughput_regression () =
              subset (need >= 2.5x with the incremental issuable set)"
             id speedup)
       measured;
-    match regressions measured with
-    | [] -> ()
-    | msg :: _ -> Alcotest.fail msg
+    (* Gate 2: absolute throughput vs the committed baseline, only
+       meaningful on the machine that produced it. *)
+    match json with
+    | None -> () (* no committed baseline: gate 1 already ran *)
+    | Some json ->
+      let same_host =
+        match Json.member "host" json with
+        | Some (Json.Str h) -> h = Unix.gethostname ()
+        | _ -> false
+      in
+      if same_host then
+        List.iter
+          (fun (id, cycles, fast, _) ->
+            match committed_smoke_rate json id with
+            | None -> ()
+            | Some committed ->
+              let rate =
+                if fast > 0.0 then float_of_int cycles /. fast else 0.0
+              in
+              if rate < 0.7 *. committed then
+                Alcotest.failf
+                  "%s: %.2f Mcyc/s is a >30%% regression vs the committed \
+                   %.2f Mcyc/s"
+                  id (rate /. 1e6) (committed /. 1e6))
+          measured
   end
 
 (* ---------------------------------------------------------------- *)

@@ -334,6 +334,23 @@ let test_stats () =
   Alcotest.(check (float 1e-9)) "median" 2.0
     (Gpr_util.Stats.percentile [ 1.0; 2.0; 3.0 ] 50.0)
 
+(* Every function runs once per round, in order; the result is the
+   fastest call of each, so a slower round does not raise it. *)
+let test_best_cpu_times () =
+  let log = ref [] and round = ref 0 in
+  let spin () =
+    let t0 = Sys.time () in
+    while Sys.time () -. t0 < 0.01 do () done
+  in
+  let fs =
+    [| (fun () -> incr round; log := 0 :: !log; if !round = 2 then spin ());
+       (fun () -> log := 1 :: !log) |]
+  in
+  let best = Gpr_util.Stats.best_cpu_times ~rounds:3 fs in
+  Alcotest.(check (list int)) "interleaved" [ 0; 1; 0; 1; 0; 1 ] (List.rev !log);
+  Alcotest.(check int) "one per function" 2 (Array.length best);
+  Alcotest.(check bool) "slow round not kept" true (best.(0) < 0.01)
+
 (* The rank used to go out of bounds for p outside [0, 100]; it now
    clamps to the extreme order statistics. *)
 let test_percentile_edges () =
@@ -433,6 +450,7 @@ let () =
         [
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "percentile edges" `Quick test_percentile_edges;
+          Alcotest.test_case "best cpu times" `Quick test_best_cpu_times;
         ] );
       qsuite "stats-props" [ prop_percentile_monotone ];
       ("image", [ Alcotest.test_case "image" `Quick test_image ]);
