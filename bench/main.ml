@@ -152,8 +152,9 @@ let speclist =
     ("--no-micro", Arg.Set no_micro,
      "  Skip the Bechamel micro-benchmarks (part 2)");
     ("--sim-throughput", Arg.Set sim_throughput,
-     "  Only time the flat simulator against the Sim_ref oracle over the \
-      registry and write BENCH_sim.json");
+     "  Only time the flat simulator against the reference engine (a \
+      single-tenant Sim_multi run) over the registry and write \
+      BENCH_sim.json");
     ("--sim-kernels", Arg.Set_string sim_kernels,
      "A,B  Restrict --sim-throughput to the named registry kernels (the CI \
       smoke subset)");
@@ -293,9 +294,9 @@ let write_obs_json entries =
 
 (* ---------------------------------------------------------------- *)
 (* Simulator throughput: the full registry simulated under every
-   registered backend by the flat engine and by the Sim_ref oracle,
-   written to BENCH_sim.json as cycles/sec per scheme (the ISSUE's
-   ≥5x acceptance artifact).  The oracle run doubles as an in-bench
+   registered backend by the flat engine and by the reference engine
+   (a single-tenant [Sim_multi] run), written to BENCH_sim.json as
+   cycles/sec per scheme.  The reference run doubles as an in-bench
    equivalence audit: any stats divergence aborts with exit 1.  The
    recorded host lets the tier-2 perf-regression test in
    test/test_sim.ml gate its absolute-throughput comparison to the
@@ -306,7 +307,6 @@ let run_sim_bench () =
   let module Backend = Gpr_backend.Backend in
   let module Width = Gpr_analysis.Width in
   let module Sim = Gpr_sim.Sim in
-  let module Sim_ref = Gpr_sim.Sim_ref in
   let cfg = Gpr_arch.Config.fermi_gtx480 in
   let waves = 6 in
   let kernels =
@@ -350,10 +350,14 @@ let run_sim_bench () =
               let trace = W.trace w ~quantize:None in
               let width = Width.analyze w.kernel ~launch:w.launch in
               let res = S.analyze ~kernel:w.kernel ~width ~precision:None in
+              let demand =
+                Backend.demand cfg res
+                  ~warps_per_block:(W.warps_per_block w)
+                  ~shared_bytes_per_block:(W.shared_bytes_per_block w)
+              in
               let occ =
-                (Backend.occupancy cfg res
-                   ~warps_per_block:(W.warps_per_block w)
-                   ~shared_bytes_per_block:(W.shared_bytes_per_block w))
+                (Gpr_arch.Occupancy.of_demand cfg demand
+                   ~warps_per_block:(W.warps_per_block w))
                   .Gpr_arch.Occupancy.blocks_per_sm
               in
               let mode = Backend.sim_mode scheme res in
@@ -362,13 +366,13 @@ let run_sim_bench () =
                 Sim.run ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode
               in
               let slow () =
-                Sim_ref.run ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode
+                Gpr_sim.Sim_multi.single ~waves cfg ~trace ~alloc ~demand ~mode
               in
               let f = fast () in
               if Stdlib.compare f (slow ()) <> 0 then begin
                 Printf.eprintf
-                  "--sim-throughput: %s/%s: fast engine diverges from \
-                   Sim_ref\n"
+                  "--sim-throughput: %s/%s: fast engine diverges from the \
+                   reference engine\n"
                   w.name S.id;
                 exit 1
               end;
@@ -459,6 +463,7 @@ let run_sim_bench () =
     (J.Obj
        [
          ("host", J.Str (Unix.gethostname ()));
+         ("reference", J.Str "Sim_multi.single");
          ("waves", J.Int waves);
          ("rounds", J.Int sim_rounds);
          ("kernels", J.Int (List.length kernels));

@@ -661,11 +661,12 @@ let check_sim ?(max_steps = 2_000_000) (case : Gen.case) =
    still lie (field assembled from the wrong ref, a cause dropped from
    [breakdown], ...).  Recompute the identity from the returned record
    alone, across all three register-file modes; then pin the flat
-   engine byte-equal to the [Sim_ref] oracle on the same inputs, and
-   fuzz the idle fast-forward replay specifically with a stretched
-   machine (long latencies, slow spill port, one resident block) whose
-   runs are dominated by frozen-cause idle stretches rather than the
-   dense cycle-by-cycle path. *)
+   engine byte-equal to the reference engine (a single-tenant
+   [Sim_multi] run) on the same inputs, and fuzz the idle fast-forward
+   replay specifically with a stretched machine (long latencies, slow
+   spill port, one resident block) whose runs are dominated by
+   frozen-cause idle stretches rather than the dense cycle-by-cycle
+   path. *)
 let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
   guard @@ fun () ->
   let kernel = case.kernel in
@@ -685,16 +686,15 @@ let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
   in
   let wt = Width.analyze kernel ~launch:case.launch in
   let cfg = Gpr_arch.Config.fermi_gtx480 in
+  let wpb = trace.Gpr_exec.Trace.warps_per_block in
   let shared_bytes =
     4 * List.fold_left (fun acc (_, n) -> acc + n) 0 case.shared
   in
-  let occ_of regs spill_bytes =
-    (Gpr_arch.Occupancy.compute cfg ~regs_per_thread:(max 1 regs)
-       ~warps_per_block:trace.Gpr_exec.Trace.warps_per_block
-       ~shared_bytes_per_block:
-         (shared_bytes
-         + (spill_bytes * 32 * trace.Gpr_exec.Trace.warps_per_block)))
-      .Gpr_arch.Occupancy.blocks_per_sm
+  let demand_of regs spill_bytes =
+    {
+      Gpr_arch.Occupancy.d_regs_per_thread = max 1 regs;
+      d_shared_bytes_per_block = shared_bytes + (spill_bytes * 32 * wpb);
+    }
   in
   let audit label (s : Gpr_sim.Sim.stats) =
     let bd = Gpr_sim.Sim.breakdown s in
@@ -713,7 +713,11 @@ let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
            (Printf.sprintf "%s: %d issued slots but %d warp instructions"
               label s.issued_slots s.warp_instructions))
   in
-  let run ?(cfg = cfg) ?(waves = 2) label alloc blocks_per_sm mode =
+  let run ?(cfg = cfg) ?(waves = 2) label alloc demand mode =
+    let blocks_per_sm =
+      (Gpr_arch.Occupancy.of_demand cfg demand ~warps_per_block:wpb)
+        .Gpr_arch.Occupancy.blocks_per_sm
+    in
     let s =
       match
         Gpr_sim.Sim.run ~check:true ~waves cfg ~trace ~alloc ~blocks_per_sm
@@ -726,21 +730,23 @@ let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
     audit label s;
     let r =
       match
-        Gpr_sim.Sim_ref.run ~check:true ~waves cfg ~trace ~alloc ~blocks_per_sm
+        Gpr_sim.Sim_multi.single ~check:true ~waves cfg ~trace ~alloc ~demand
           ~mode
       with
       | r -> r
       | exception Gpr_sim.Sim.Invariant_violation msg ->
         fail
           (Sim_violation
-             (Printf.sprintf "%s: only Sim_ref violates: %s" label msg))
+             (Printf.sprintf "%s: only the reference engine violates: %s"
+                label msg))
     in
     if Stdlib.compare s r <> 0 then
       fail
         (Sim_violation
            (Printf.sprintf
-              "%s: fast engine diverges from Sim_ref (%d vs %d cycles)" label
-              s.Gpr_sim.Sim.cycles r.Gpr_sim.Sim.cycles))
+              "%s: fast engine diverges from the reference engine (%d vs %d \
+               cycles)"
+              label s.Gpr_sim.Sim.cycles r.Gpr_sim.Sim.cycles))
   in
   let width_of (r : vreg) =
     match r.ty with
@@ -749,15 +755,15 @@ let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
   in
   let alloc_base = Alloc.baseline kernel in
   let alloc_comp = Alloc.run kernel ~width_of in
-  run "baseline" alloc_base (occ_of alloc_base.Alloc.pressure 0)
+  run "baseline" alloc_base (demand_of alloc_base.Alloc.pressure 0)
     Gpr_sim.Sim.Baseline;
-  run "proposed" alloc_comp (occ_of alloc_comp.Alloc.pressure 0)
+  run "proposed" alloc_comp (demand_of alloc_comp.Alloc.pressure 0)
     (Gpr_sim.Sim.Proposed { writeback_delay = 3 });
   (* The spill scheme exercises the spill-port cause. *)
   let module Sp = Gpr_backend.Backend_spill in
   let res = Sp.analyze ~kernel ~width:wt ~precision:None in
   run "spill" res.Backend.alloc
-    (occ_of res.Backend.alloc.Alloc.pressure
+    (demand_of res.Backend.alloc.Alloc.pressure
        (Backend.spill_bytes_per_thread res))
     (Backend.sim_mode (module Sp) res);
   (* Fast-forward-heavy schedule: one resident block, one wave, and a
@@ -765,7 +771,8 @@ let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
      cycle is skipped by the idle fast-forward and its frozen stall
      cause replayed.  Run under the spill mode so the replayed causes
      include the spill port, the cause most entangled with retire
-     timing. *)
+     timing.  The block claims all of the SM's shared memory, which
+     pins the occupancy to one block. *)
   let stretched =
     {
       cfg with
@@ -777,7 +784,21 @@ let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
       dram_latency = 1200;
     }
   in
-  run ~cfg:stretched ~waves:1 "ffwd-heavy" res.Backend.alloc 1
+  let one_block =
+    {
+      (demand_of res.Backend.alloc.Alloc.pressure 0) with
+      Gpr_arch.Occupancy.d_shared_bytes_per_block = cfg.shared_mem_bytes;
+    }
+  in
+  let occ =
+    Gpr_arch.Occupancy.of_demand stretched one_block ~warps_per_block:wpb
+  in
+  if occ.Gpr_arch.Occupancy.blocks_per_sm <> 1 then
+    fail
+      (Sim_violation
+         (Printf.sprintf "ffwd-heavy: demand admits %d blocks, not 1"
+            occ.Gpr_arch.Occupancy.blocks_per_sm));
+  run ~cfg:stretched ~waves:1 "ffwd-heavy" res.Backend.alloc one_block
     (Backend.sim_mode (module Sp) res)
 
 (* ------------------------------------------------------------------ *)
@@ -812,64 +833,63 @@ let check_coloc ?(max_steps = 2_000_000) (b : Backend.t) (case : Gen.case) =
       Backend.demand cfg res ~warps_per_block:wpb
         ~shared_bytes_per_block:shared_bytes
     in
-    let occ = Gpr_arch.Occupancy.of_demand cfg demand ~warps_per_block:wpb in
-    let bpsm = occ.Gpr_arch.Occupancy.blocks_per_sm in
-    ( {
-        Multi.t_label = label;
-        t_trace = trace;
-        t_alloc = res.Backend.alloc;
-        t_mode = Backend.sim_mode b res;
-        t_demand = demand;
-        t_blocks = 2 * bpsm;
-      },
-      bpsm )
+    Multi.make_tenant ~waves:2 cfg ~label ~trace ~alloc:res.Backend.alloc
+      ~demand ~mode:(Backend.sim_mode b res)
   in
   (* Isolated reference for one tenant; also pins the singleton
-     identity: [run_multi] on the tenant alone must reproduce
-     [Sim.run] byte for byte. *)
-  let isolated label (t : Multi.tenant) bpsm =
+     identity: the tenant alone must reproduce [Sim.run] byte for
+     byte. *)
+  let isolated
+      { Multi.t_label = label; t_trace = trace; t_alloc = alloc;
+        t_mode = mode; t_demand = demand; _ } =
+    let blocks_per_sm =
+      (Gpr_arch.Occupancy.of_demand cfg demand
+         ~warps_per_block:trace.Gpr_exec.Trace.warps_per_block)
+        .Gpr_arch.Occupancy.blocks_per_sm
+    in
     let s =
       match
-        Gpr_sim.Sim.run ~check:true ~waves:2 cfg ~trace:t.Multi.t_trace
-          ~alloc:t.Multi.t_alloc ~blocks_per_sm:bpsm ~mode:t.Multi.t_mode
+        Gpr_sim.Sim.run ~check:true ~waves:2 cfg ~trace ~alloc ~blocks_per_sm
+          ~mode
       with
       | s -> s
       | exception Gpr_sim.Sim.Invariant_violation msg ->
         fail (Sim_violation (label ^ ": " ^ msg))
     in
     let m =
-      match Multi.run ~check:true cfg [ t ] with
+      match
+        Multi.single ~check:true ~waves:2 cfg ~trace ~alloc ~demand ~mode
+      with
       | m -> m
       | exception Gpr_sim.Sim.Invariant_violation msg ->
         fail (Sim_violation (label ^ " (singleton run_multi): " ^ msg))
     in
-    if Stdlib.compare s m.Multi.r_stats <> 0 then
+    if Stdlib.compare s m <> 0 then
       fail
         (Sim_violation
            (Printf.sprintf
               "%s: singleton run_multi diverges from Sim.run (%d vs %d \
                cycles)"
-              label s.Gpr_sim.Sim.cycles
-              m.Multi.r_stats.Gpr_sim.Sim.cycles));
+              label s.Gpr_sim.Sim.cycles m.Gpr_sim.Sim.cycles));
     s
   in
   match trace_of case with
   | None -> fail (Exec_failure "trace collection returned no trace")
   | Some trace ->
-    let t0, bpsm0 = tenant_of "k0" case trace in
-    let s0 = isolated "k0" t0 bpsm0 in
+    let t0 = tenant_of "k0" case trace in
+    let s0 = isolated t0 in
     (* The co-tenant is generated from a seed derived from the case's,
        so shrinking the case never perturbs its companion; a companion
        that does not execute degrades to co-scheduling the case with
        itself, which still exercises the multi-tenant dispatcher. *)
     let companion = Gen.generate (case.Gen.seed lxor 0x2b992d) in
-    let t1, bpsm1 =
+    let t1 =
       match trace_of companion with
       | Some tr when Array.length tr.Gpr_exec.Trace.items > 0 ->
         tenant_of "k1" companion tr
       | Some _ | None | (exception _) -> tenant_of "k1" case trace
     in
-    let s1 = isolated "k1" t1 bpsm1 in
+    let s1 = isolated t1 in
     List.iter
       (fun policy ->
         let module P = (val policy : Multi.POLICY) in

@@ -271,20 +271,14 @@ let colocate_tenant ?writeback_delay ~waves (b : Gpr_backend.Backend.t)
   let trace =
     if S.needs_precision then trace_quantized c threshold else trace_plain c
   in
-  let occ = backend_occupancy c res in
-  let wpb = Workload.warps_per_block c.Compress.w in
   let demand =
-    Gpr_backend.Backend.demand cfg res ~warps_per_block:wpb
+    Gpr_backend.Backend.demand cfg res
+      ~warps_per_block:(Workload.warps_per_block c.Compress.w)
       ~shared_bytes_per_block:(Workload.shared_bytes_per_block c.Compress.w)
   in
-  {
-    Multi.t_label = c.Compress.w.Workload.name;
-    t_trace = trace;
-    t_alloc = res.Gpr_backend.Backend.alloc;
-    t_mode = Gpr_backend.Backend.sim_mode ?writeback_delay b res;
-    t_demand = demand;
-    t_blocks = max 1 (waves * occ.Gpr_arch.Occupancy.blocks_per_sm);
-  }
+  Multi.make_tenant ~waves cfg ~label:c.Compress.w.Workload.name ~trace
+    ~alloc:res.Gpr_backend.Backend.alloc ~demand
+    ~mode:(Gpr_backend.Backend.sim_mode ?writeback_delay b res)
 
 let colocate ?writeback_delay ?(waves = 6) ?(policy = Multi.fifo) ?check
     (b : Gpr_backend.Backend.t) (cs : Compress.t list) threshold =

@@ -50,8 +50,8 @@ type conn = {
   fd : Unix.file_descr;
   cid : int;
   dec : P.decoder;
-  outbuf : Buffer.t;
-  mutable out_off : int;
+  outq : Bytes.t Queue.t;  (* encoded frames not yet fully written *)
+  mutable out_off : int;  (* bytes of the head frame already written *)
   mutable closing : bool;  (* close once the output buffer drains *)
   mutable alive : bool;
 }
@@ -173,19 +173,20 @@ let coalesced t = t.n_coalesced
 
 (* ---------------- connection output ---------------- *)
 
-let conn_flushed c = c.out_off >= Buffer.length c.outbuf
+let conn_flushed c = Queue.is_empty c.outq
 
-let try_flush c =
+(* Write pending frames in order, each from where the last write left
+   off, until the socket would block or the queue is empty. *)
+let rec try_flush c =
   if c.alive && not (conn_flushed c) then begin
-    let b = Buffer.to_bytes c.outbuf in
+    let b = Queue.peek c.outq in
     let len = Bytes.length b - c.out_off in
     match Unix.write c.fd b c.out_off len with
-    | n ->
-      c.out_off <- c.out_off + n;
-      if conn_flushed c then begin
-        Buffer.clear c.outbuf;
-        c.out_off <- 0
-      end
+    | n when n < len -> c.out_off <- c.out_off + n
+    | _ ->
+      ignore (Queue.pop c.outq);
+      c.out_off <- 0;
+      try_flush c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ -> c.alive <- false
   end
@@ -193,8 +194,7 @@ let try_flush c =
 let send_response t c (resp : P.response) =
   ignore t;
   if c.alive then begin
-    Buffer.add_bytes c.outbuf
-      (P.encode_frame (J.to_string (P.response_to_json resp)));
+    Queue.add (P.encode_frame (J.to_string (P.response_to_json resp))) c.outq;
     try_flush c
   end
 
@@ -495,7 +495,7 @@ let new_conn t fd =
       fd;
       cid = t.next_cid;
       dec = P.decoder ~max_bytes:t.cfg.max_frame_bytes;
-      outbuf = Buffer.create 4096;
+      outq = Queue.create ();
       out_off = 0;
       closing = false;
       alive = true;

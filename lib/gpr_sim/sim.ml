@@ -1,13 +1,14 @@
 (* Flat cycle-level SM engine.
 
-   Same pipeline model as the original engine (preserved verbatim in
-   [Sim_ref] as the differential oracle) but restructured around flat
-   preallocated state so the steady-state cycle loop allocates nothing:
+   Same pipeline model as the reference engine (a single-tenant
+   [Sim_multi] run, the differential oracle) but restructured around
+   flat preallocated state so the steady-state cycle loop allocates
+   nothing:
 
    - replay traces are packed once per run into per-(block, warp)
      int-array code streams (unit/pc/dst/active/mem-descriptor/srcs per
      instruction) with memory accesses pre-coalesced into line lists —
-     the per-issue Hashtbl coalescing of the original engine runs once
+     the per-issue Hashtbl coalescing of the reference engine runs once
      per static instruction instead of once per dynamic replay;
    - warp state (pointers, ages, barrier flags, outstanding counts) and
      the scoreboard are struct-of-arrays over resident-warp slots, with
@@ -16,7 +17,7 @@
      counters so dead stages are skipped in O(1);
    - retire events live in a grow-only binary min-heap keyed (cycle
      asc, insertion seq desc) — the descending seq tie-break reproduces
-     the original engine's LIFO bucket order exactly, which matters
+     the reference engine's LIFO bucket order exactly, which matters
      when two blocks finish on the same cycle and compete for feeder
      blocks;
    - the writeback bus and the per-cycle bank/indirection-table claims
@@ -26,11 +27,11 @@
      scheduler's frozen stall cause across the skipped cycles, so
      stall attribution stays exact.
 
-   Byte-equality with [Sim_ref] on every stats field — including the
-   Hashtbl-iteration order of coalesced cache lines, which the
-   preprocessor captures by building the very same Hashtbl once — is
-   enforced by the equivalence suite in test/test_sim.ml and fuzzed by
-   `gpr check`'s obs stage. *)
+   Byte-equality with [Sim_multi.single] on every stats field —
+   including the Hashtbl-iteration order of coalesced cache lines,
+   which the preprocessor captures by building the very same Hashtbl
+   once — is enforced by the equivalence suite in test/test_sim.ml and
+   fuzzed by `gpr check`'s obs stage. *)
 
 open Gpr_isa.Types
 module Trace = Gpr_exec.Trace
@@ -327,7 +328,7 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
   let feeder = Array.init nfeed (fun i -> i mod nblocks) in
   let fd_ptr = ref 0 in
 
-  (* --- Memory hierarchy (identical model and state to Sim_ref). --- *)
+  (* --- Memory hierarchy (identical model and state to Sim_multi). --- *)
   let l1 =
     Cache.create ~capacity_bytes:cfg.l1_bytes ~line_bytes:cfg.l1_line_bytes
       ~assoc:4

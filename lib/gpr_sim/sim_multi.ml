@@ -1,15 +1,15 @@
-(* Concurrent-kernel SM timing model.
+(* Concurrent-kernel SM timing model, and the reference engine.
 
-   This engine generalises [Sim_ref] — the reference list/Hashtbl
-   machine — over a set of tenants (kernels), replacing the fixed
-   [blocks_per_sm] slot array with a dispatcher that admits pending
-   blocks under the combined limits of [Gpr_arch.Occupancy.fits].  The
-   per-cycle pipeline (memory hierarchy, collector units, bank and
-   indirection arbitration, value converter, GTO/LRR issue, stall
-   classification, idle fast-forward) is a line-for-line port; the
-   differential suite pins a singleton tenant set byte-identical to
-   [Sim.run], so any drift from the single-kernel semantics is caught
-   the same way [Sim] itself is pinned to [Sim_ref].
+   A plain list/Hashtbl/Map machine for the cycle model of [Sim.run],
+   generalised over a set of tenants (kernels): instead of a fixed
+   [blocks_per_sm] slot array, a dispatcher admits pending blocks under
+   the combined limits of [Gpr_arch.Occupancy.fits].  The per-cycle
+   pipeline (memory hierarchy, collector units, bank and indirection
+   arbitration with dead-bank remapping, value converter, GTO/LRR
+   issue, stall classification, idle fast-forward) is written for
+   clarity, not speed.  A lone tenant ([single]) is the oracle the flat
+   engine is pinned to: the differential suites and the fuzzer demand
+   byte-identical stats from [Sim.run] on the same inputs.
 
    Warp residency: warp ids are drawn from a sorted free pool of
    [max_warps] slots, a block taking the lowest ids available.  The id
@@ -203,8 +203,8 @@ let m_admissions = Gpr_obs.Metrics.counter "sim.coloc.admissions"
 let m_policy (module P : POLICY) =
   Gpr_obs.Metrics.counter ("sim.coloc.policy." ^ P.id)
 
-let run ?(check = false) ?profile ?(policy = fifo) (cfg : Gpr_arch.Config.t)
-    (tenants : tenant list) =
+let run ?(check = false) ?(faults = []) ?profile ?(policy = fifo)
+    (cfg : Gpr_arch.Config.t) (tenants : tenant list) =
   let module P = (val policy : POLICY) in
   let tn = Array.of_list tenants in
   let nt = Array.length tn in
@@ -609,14 +609,21 @@ let run ?(check = false) ?profile ?(policy = fifo) (cfg : Gpr_arch.Config.t)
   in
 
   let placement_of k arch = Alloc.lookup tn.(k).t_alloc arch in
+  (* Dead register banks are spare-column remapped: their fetch traffic
+     is served by the nearest healthy bank (identity map when no fault
+     names a bank). *)
+  let bank_redirect =
+    Gpr_regfile.Fault.bank_redirect
+      (Gpr_regfile.Fault.compile ~banks:cfg.register_banks ~regs:64 faults)
+  in
+  let rbank x = bank_redirect.(x mod cfg.register_banks) in
   let fetch_banks warp arch =
     match placement_of warp.w_tenant arch with
-    | None -> [ (arch + warp.w_id) mod cfg.register_banks ]
+    | None -> [ rbank (arch + warp.w_id) ]
     | Some p ->
       if tn_proposed.(warp.w_tenant) && Alloc.is_split p then
-        [ (p.Alloc.reg0 + warp.w_id) mod cfg.register_banks;
-          (p.Alloc.reg1 + warp.w_id) mod cfg.register_banks ]
-      else [ (p.Alloc.reg0 + warp.w_id) mod cfg.register_banks ]
+        [ rbank (p.Alloc.reg0 + warp.w_id); rbank (p.Alloc.reg1 + warp.w_id) ]
+      else [ rbank (p.Alloc.reg0 + warp.w_id) ]
   in
   let needs_convert k arch =
     tn_proposed.(k)
@@ -1157,3 +1164,20 @@ let run ?(check = false) ?profile ?(policy = fifo) (cfg : Gpr_arch.Config.t)
       Gpr_obs.Fair.jain
         (Array.to_list (Array.map float_of_int t_issued));
   }
+
+let make_tenant ?(waves = 6) cfg ~label ~trace ~alloc ~demand ~mode =
+  let occ =
+    Occ.of_demand cfg demand ~warps_per_block:trace.Trace.warps_per_block
+  in
+  {
+    t_label = label;
+    t_trace = trace;
+    t_alloc = alloc;
+    t_mode = mode;
+    t_demand = demand;
+    t_blocks = waves * occ.Occ.blocks_per_sm;
+  }
+
+let single ?check ?waves ?faults cfg ~trace ~alloc ~demand ~mode =
+  let t = make_tenant ?waves cfg ~label:"kernel" ~trace ~alloc ~demand ~mode in
+  (run ?check ?faults cfg [ t ]).r_stats

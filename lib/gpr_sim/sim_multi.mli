@@ -9,13 +9,14 @@
     (scoreboard, collector operands, bank swizzles) is keyed by the
     warp's resident slot, so kernels never alias registers.
 
-    The cycle model is exactly {!Sim_ref}'s — same memory hierarchy,
-    collector/bank/writeback structure, GTO/LRR issue, stall taxonomy
-    and idle fast-forward — generalised over tenants.  On a singleton
-    tenant set whose [t_blocks] equals [waves * blocks_per_sm] and
-    whose demand reproduces the kernel's occupancy, {!run} is
-    byte-identical to {!Sim.run} (pinned by the differential suite in
-    test/test_sim.ml and the fuzzer's coloc stage).
+    The cycle model is {!Sim.run}'s — same memory hierarchy,
+    collector/bank/writeback structure, GTO/LRR issue, stall taxonomy,
+    idle fast-forward and dead-bank remapping — written as a plain
+    list/Hashtbl machine and generalised over tenants.  This engine is
+    the reference the flat engine is pinned to: on a lone tenant
+    ({!single}) it is byte-identical to {!Sim.run} (pinned by the
+    differential suites in test/test_sim.ml, test/test_multi.ml and
+    test/test_faults.ml, and by the fuzzer's obs and coloc stages).
 
     The shared structures are genuinely shared between tenants: L1/tex/
     L2 caches, DRAM/L2 bandwidth, collector units, execution units, the
@@ -102,6 +103,7 @@ val find_policy : string -> (module POLICY) option
 
 val run :
   ?check:bool ->
+  ?faults:Gpr_regfile.Fault.t list ->
   ?profile:Gpr_obs.Chrome.t ->
   ?policy:(module POLICY) ->
   Gpr_arch.Config.t ->
@@ -110,8 +112,44 @@ val run :
 (** Co-schedule the tenant set on one SM until every fed block of every
     kernel has drained.  [check] additionally enforces the per-kernel
     and aggregate slot-attribution and conservation identities
-    (raising {!Sim.Invariant_violation}).  [profile] records one Chrome
+    (raising {!Sim.Invariant_violation}).  [faults] has {!Sim.run}'s
+    meaning: a {!Gpr_regfile.Fault.Dead_bank}'s fetch traffic is
+    spare-column remapped onto the nearest healthy bank, for every
+    tenant (no faults is the identity).  [profile] records one Chrome
     lane (pid) per kernel plus a bank lane.  Default policy: {!fifo}.
 
     @raise Invalid_argument if the tenant list is empty or a single
     block of some kernel exceeds the SM resources outright. *)
+
+val make_tenant :
+  ?waves:int ->
+  Gpr_arch.Config.t ->
+  label:string ->
+  trace:Gpr_exec.Trace.t ->
+  alloc:Gpr_alloc.Alloc.t ->
+  demand:Gpr_arch.Occupancy.demand ->
+  mode:Sim.regfile_mode ->
+  tenant
+(** The tenant that replays {!Sim.run}'s workload: [waves] (default 6)
+    waves of the demand's isolated occupancy, i.e.
+    [t_blocks = waves * blocks_per_sm] with [blocks_per_sm] from
+    {!Gpr_arch.Occupancy.of_demand} ({!run}, like {!Sim.run}, feeds at
+    least one block).
+    @raise Invalid_argument if one block exceeds the SM resources. *)
+
+val single :
+  ?check:bool ->
+  ?waves:int ->
+  ?faults:Gpr_regfile.Fault.t list ->
+  Gpr_arch.Config.t ->
+  trace:Gpr_exec.Trace.t ->
+  alloc:Gpr_alloc.Alloc.t ->
+  demand:Gpr_arch.Occupancy.demand ->
+  mode:Sim.regfile_mode ->
+  Sim.stats
+(** The reference single-kernel run: {!run} on the lone {!make_tenant}
+    under the default policy.  Byte-identical to {!Sim.run} with the
+    same [check], [waves] and [faults] at [blocks_per_sm] from
+    {!Gpr_arch.Occupancy.of_demand} [demand].  Like {!run} it counts
+    its block admissions in the [sim.coloc.*] metrics, never in
+    {!Sim.run}'s [sim.*] ones. *)

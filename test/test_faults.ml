@@ -1,13 +1,14 @@
 (* Fault model and injection campaign: seeded placement determinism and
    prefix stability, fault-free runs byte-identical to the plain
-   simulator, flat-vs-reference agreement under faults, the RRCD
-   redirection safety property (never placed on a faulty slice, dead
-   entry or dead bank), and campaign determinism. *)
+   simulator in both engines, flat-vs-reference agreement under faults,
+   unchanged per-kernel work under faults when two kernels share the
+   SM, the RRCD redirection safety property (never placed on a faulty
+   slice, dead entry or dead bank), and campaign determinism. *)
 
 open Gpr_isa.Types
 module T = Gpr_exec.Trace
 module Sim = Gpr_sim.Sim
-module Sim_ref = Gpr_sim.Sim_ref
+module Multi = Gpr_sim.Sim_multi
 module A = Gpr_alloc.Alloc
 module Fault = Gpr_regfile.Fault
 module Rrcd = Gpr_backend.Backend_rrcd
@@ -40,7 +41,7 @@ let test_place_prefix_stable () =
 
 (* ---------------------------------------------------------------- *)
 (* Timing model: no-fault runs are byte-identical; faulted runs agree
-   with the reference engine. *)
+   with the reference engine (a single-tenant [Sim_multi] run). *)
 
 let item ?(warp = 0) ?(srcs = []) ?dst pc =
   {
@@ -81,6 +82,10 @@ let trace =
   in
   mk_trace (w 0 @ w 1)
 
+(* Two resident blocks: shared memory binds, as [blocks_per_sm:2]. *)
+let two_blocks () =
+  Sim_oracle.demand_for_blocks ~regs:8 ~warps_per_block:2 2
+
 let test_no_faults_identical () =
   List.iter
     (fun mode ->
@@ -91,29 +96,67 @@ let test_no_faults_identical () =
         Sim.run ~faults:[] cfg ~trace ~alloc:(full_alloc 8) ~blocks_per_sm:2
           ~mode
       in
-      Alcotest.(check bool) "~faults:[] is the identity" true (plain = empty))
+      Alcotest.(check bool) "~faults:[] is the identity" true (plain = empty);
+      ignore
+        (Sim_oracle.judge "Sim_multi ~faults:[] = fault-free Sim.run"
+           (Sim_oracle.flat ~trace ~alloc:(full_alloc 8)
+              ~demand:(two_blocks ()) ~mode ~waves:6 ())
+           (Sim_oracle.guarded (fun () ->
+                Multi.single ~check:true ~faults:[] cfg ~trace
+                  ~alloc:(full_alloc 8) ~demand:(two_blocks ()) ~mode))))
     [ Sim.Baseline; Sim.Proposed { writeback_delay = 3 } ]
+
+let fault_sets =
+  [
+    [ Fault.Dead_bank 0 ];
+    [ Fault.Dead_bank 3; Fault.Dead_bank 5 ];
+    Fault.place ~seed:11 ~count:6 ~banks ~regs:16;
+  ]
 
 let test_faulted_engines_agree () =
   (* A dead bank redirects its traffic in both engines; the flat and
      reference models must keep producing identical stats. *)
   List.iter
     (fun faults ->
-      let run (f : ?check:bool -> ?waves:int -> ?faults:Fault.t list ->
-                ?profile:Gpr_obs.Chrome.t -> Gpr_arch.Config.t ->
-                trace:T.t -> alloc:A.t -> blocks_per_sm:int ->
-                mode:Sim.regfile_mode -> Sim.stats) =
-        f ~check:true ~faults cfg ~trace ~alloc:(full_alloc 8)
-          ~blocks_per_sm:2 ~mode:Sim.Baseline
-      in
-      let flat = run Sim.run and reference = run Sim_ref.run in
-      Alcotest.(check bool) "flat = reference under faults" true
-        (flat = reference))
-    [
-      [ Fault.Dead_bank 0 ];
-      [ Fault.Dead_bank 3; Fault.Dead_bank 5 ];
-      Fault.place ~seed:11 ~count:6 ~banks ~regs:16;
-    ]
+      ignore
+        (Sim_oracle.agree ~faults "faulted" ~trace ~alloc:(full_alloc 8)
+           ~demand:(two_blocks ()) ~mode:Sim.Baseline ~waves:6))
+    fault_sets
+
+let test_faulted_tenants_keep_work () =
+  (* Two kernels share the SM and its banks: a dead bank moves their
+     fetch traffic, which changes the timing but never the blocks each
+     kernel launches or the instructions it retires. *)
+  let demand =
+    { Gpr_arch.Occupancy.d_regs_per_thread = 8;
+      d_shared_bytes_per_block = cfg.shared_mem_bytes / 4 }
+  in
+  let tenant label mode =
+    Multi.make_tenant ~waves:3 cfg ~label ~trace ~alloc:(full_alloc 8) ~demand
+      ~mode
+  in
+  let tenants =
+    [ tenant "base" Sim.Baseline;
+      tenant "prop" (Sim.Proposed { writeback_delay = 3 }) ]
+  in
+  let clean = Multi.run ~check:true cfg tenants in
+  List.iter
+    (fun faults ->
+      let faulted = Multi.run ~check:true ~faults cfg tenants in
+      Alcotest.(check bool) "dead banks reach the shared file" true
+        (faulted.Multi.r_stats <> clean.Multi.r_stats);
+      Array.iteri
+        (fun k (c : Multi.tenant_stats) ->
+          let f = faulted.Multi.r_tenants.(k) in
+          let label what = Printf.sprintf "%s: %s" c.Multi.ts_label what in
+          Alcotest.(check int) (label "blocks launched")
+            c.Multi.ts_blocks_launched f.Multi.ts_blocks_launched;
+          Alcotest.(check int) (label "warp instructions")
+            c.Multi.ts_warp_instructions f.Multi.ts_warp_instructions;
+          Alcotest.(check int) (label "thread instructions")
+            c.Multi.ts_thread_instructions f.Multi.ts_thread_instructions)
+        clean.Multi.r_tenants)
+    fault_sets
 
 (* ---------------------------------------------------------------- *)
 (* RRCD redirection safety *)
@@ -204,6 +247,8 @@ let () =
             test_no_faults_identical;
           Alcotest.test_case "engines agree under faults" `Quick
             test_faulted_engines_agree;
+          Alcotest.test_case "tenants keep their work" `Quick
+            test_faulted_tenants_keep_work;
         ] );
       ( "rrcd",
         [

@@ -1,209 +1,57 @@
 (* Concurrent-kernel SM tests: singleton-set equivalence against the
-   single-kernel engines (registry kernels x backends x policies, plus
-   generated kernels), multi-tenant invariants and fairness, dispatch
+   flat engine (registry kernels x backends x policies, plus generated
+   kernels), multi-tenant invariants and fairness, dispatch
    policies, and the combined-limit admission edges of
    [Gpr_arch.Occupancy]. *)
 
-open Gpr_isa.Types
-module E = Gpr_exec.Exec
-module T = Gpr_exec.Trace
 module Sim = Gpr_sim.Sim
 module Multi = Gpr_sim.Sim_multi
-module A = Gpr_alloc.Alloc
 module Occ = Gpr_arch.Occupancy
 module W = Gpr_workloads.Workload
 module Backend = Gpr_backend.Backend
-module Gen = Gpr_check.Gen
 
 let cfg = Gpr_arch.Config.fermi_gtx480
-let fast_tests = Sys.getenv_opt "GPR_FAST_TESTS" = Some "1"
+let fast_tests = Sim_oracle.fast_tests
 
-let stats_fields (s : Sim.stats) =
-  [
-    ("cycles", string_of_int s.cycles);
-    ("thread_instructions", string_of_int s.thread_instructions);
-    ("warp_instructions", string_of_int s.warp_instructions);
-    ("sm_ipc", Printf.sprintf "%h" s.sm_ipc);
-    ("gpu_ipc", Printf.sprintf "%h" s.gpu_ipc);
-    ("issued_per_cycle", Printf.sprintf "%h" s.issued_per_cycle);
-    ("l1_hit_rate", Printf.sprintf "%h" s.l1_hit_rate);
-    ("tex_hit_rate", Printf.sprintf "%h" s.tex_hit_rate);
-    ("l2_hit_rate", Printf.sprintf "%h" s.l2_hit_rate);
-    ("tex_accesses", string_of_int s.tex_accesses);
-    ("double_fetches", string_of_int s.double_fetches);
-    ("conversions", string_of_int s.conversions);
-    ("issued_slots", string_of_int s.issued_slots);
-    ("stall_scoreboard", string_of_int s.stall_scoreboard);
-    ("stall_no_cu", string_of_int s.stall_no_cu);
-    ("stall_bank_conflict", string_of_int s.stall_bank_conflict);
-    ("stall_spill_port", string_of_int s.stall_spill_port);
-    ("stall_barrier", string_of_int s.stall_barrier);
-    ("stall_empty", string_of_int s.stall_empty);
-    ("bank_conflicts", string_of_int s.bank_conflicts);
-    ("idle_cycles", string_of_int s.idle_cycles);
-    ("spill_loads", string_of_int s.spill_loads);
-    ("spill_stores", string_of_int s.spill_stores);
-  ]
-
-(* A singleton tenant set must reproduce [Sim.run] byte-for-byte, under
-   every policy (policies cannot differ when only one kernel is
-   pending). *)
+(* A lone tenant must reproduce [Sim.run] byte-for-byte under every
+   policy (policies cannot differ when only one kernel is pending), and
+   own the whole run.  fifo is skipped: its lone tenant is exactly
+   [Multi.single], which test_sim's equivalence group pins. *)
 let assert_singleton_matches label ~trace ~alloc ~demand ~mode ~waves =
-  let occ = Occ.of_demand cfg demand ~warps_per_block:trace.T.warps_per_block in
-  let blocks_per_sm = occ.Occ.blocks_per_sm in
-  let single =
-    try
-      Ok (Sim.run ~check:true ~waves cfg ~trace ~alloc ~blocks_per_sm ~mode)
-    with Sim.Invariant_violation m -> Error m
-  in
+  let fast = Sim_oracle.flat ~trace ~alloc ~demand ~mode ~waves () in
   let tenant =
-    {
-      Multi.t_label = label;
-      t_trace = trace;
-      t_alloc = alloc;
-      t_mode = mode;
-      t_demand = demand;
-      t_blocks = max 1 (waves * blocks_per_sm);
-    }
+    Multi.make_tenant ~waves cfg ~label ~trace ~alloc ~demand ~mode
   in
   List.iter
     (fun policy ->
       let module P = (val policy : Multi.POLICY) in
-      let multi =
-        try Ok (Multi.run ~check:true ~policy cfg [ tenant ])
-        with Sim.Invariant_violation m -> Error m
+      let label =
+        Printf.sprintf "%s (policy=%s, waves=%d)" label P.id waves
       in
-      match (single, multi) with
-      | Ok s, Ok m ->
-        if Stdlib.compare s m.Multi.r_stats <> 0 then begin
-          let diffs =
-            List.concat
-              (List.map2
-                 (fun (n, a) (_, b) ->
-                   if a = b then []
-                   else [ Printf.sprintf "%s: single=%s multi=%s" n a b ])
-                 (stats_fields s)
-                 (stats_fields m.Multi.r_stats))
-          in
-          Alcotest.failf "%s (policy=%s, waves=%d): singleton diverges on %s"
-            label P.id waves
-            (String.concat "; " diffs)
-        end;
-        (* The lone tenant owns the whole run. *)
-        let t = m.Multi.r_tenants.(0) in
-        Alcotest.(check int)
-          (label ^ ": tenant issued slots") s.Sim.issued_slots
-          t.Multi.ts_issued_slots;
-        Alcotest.(check int)
-          (label ^ ": tenant thread instructions") s.Sim.thread_instructions
-          t.Multi.ts_thread_instructions;
-        Alcotest.(check int)
-          (label ^ ": co-residency is zero for one kernel") 0
-          m.Multi.r_co_resident_cycles;
-        Alcotest.(check (float 1e-9)) (label ^ ": fairness trivially 1") 1.0
-          m.Multi.r_fairness
-      | Error ms, Error mm ->
-        if ms <> mm then
-          Alcotest.failf "%s (policy=%s): different violations: %S vs %S"
-            label P.id ms mm
-      | Error m, Ok _ ->
-        Alcotest.failf "%s (policy=%s): only Sim.run violates: %s" label P.id m
-      | Ok _, Error m ->
-        Alcotest.failf "%s (policy=%s): only Sim_multi violates: %s" label
-          P.id m)
-    Multi.policies
+      let multi =
+        Sim_oracle.guarded (fun () ->
+            Multi.run ~check:true ~policy cfg [ tenant ])
+      in
+      let s =
+        Sim_oracle.judge label fast
+          (Result.map (fun m -> m.Multi.r_stats) multi)
+      in
+      let m = Result.get_ok multi in
+      let t = m.Multi.r_tenants.(0) in
+      Alcotest.(check int)
+        (label ^ ": tenant issued slots") s.Sim.issued_slots
+        t.Multi.ts_issued_slots;
+      Alcotest.(check int)
+        (label ^ ": tenant thread instructions") s.Sim.thread_instructions
+        t.Multi.ts_thread_instructions;
+      Alcotest.(check int)
+        (label ^ ": co-residency is zero for one kernel") 0
+        m.Multi.r_co_resident_cycles;
+      Alcotest.(check (float 1e-9)) (label ^ ": fairness trivially 1") 1.0
+        m.Multi.r_fairness)
+    (List.filter (fun p -> p != Multi.fifo) Multi.policies)
 
-let registry_kernels () =
-  if fast_tests then
-    List.filter
-      (fun (w : W.t) -> w.name = "Hotspot" || w.name = "DWT2D")
-      Gpr_workloads.Registry.all
-  else Gpr_workloads.Registry.all
-
-let test_registry_singleton () =
-  List.iter
-    (fun (w : W.t) ->
-      let trace = W.trace w ~quantize:None in
-      let width = Gpr_analysis.Width.analyze w.kernel ~launch:w.launch in
-      List.iter
-        (fun (scheme : Backend.t) ->
-          let module S = (val scheme) in
-          let res = S.analyze ~kernel:w.kernel ~width ~precision:None in
-          let demand =
-            Backend.demand cfg res
-              ~warps_per_block:(W.warps_per_block w)
-              ~shared_bytes_per_block:(W.shared_bytes_per_block w)
-          in
-          assert_singleton_matches
-            (Printf.sprintf "%s/%s" w.name S.id)
-            ~trace ~alloc:res.Backend.alloc ~demand
-            ~mode:(Backend.sim_mode scheme res)
-            ~waves:1)
-        Gpr_backend.Registry.all)
-    (registry_kernels ())
-
-(* Generated kernels through the same three modes as the fast/ref
-   equivalence property, at two wave counts. *)
-let check_generated_seed seed =
-  match
-    (try
-       let case = Gen.generate seed in
-       let data = case.Gen.data () in
-       let bindings =
-         E.bindings_for case.Gen.kernel ~data ~shared:case.Gen.shared ()
-       in
-       E.run case.Gen.kernel ~launch:case.Gen.launch ~params:case.Gen.params
-         ~bindings
-         { E.default_config with collect_trace = true; max_steps = Some 500_000 }
-       |> Option.map (fun t -> (case, t))
-     with _ -> None)
-  with
-  | None -> ()
-  | Some (case, trace) ->
-    let wt =
-      Gpr_analysis.Width.analyze case.Gen.kernel ~launch:case.Gen.launch
-    in
-    let width_of (r : vreg) =
-      match r.ty with
-      | Pred | F32 -> 32
-      | S32 | U32 -> Gpr_analysis.Width.var_bitwidth wt r.id
-    in
-    let shared_bytes =
-      4 * List.fold_left (fun acc (_, n) -> acc + n) 0 case.Gen.shared
-    in
-    let demand_of regs spill_bytes =
-      {
-        Occ.d_regs_per_thread = max 1 regs;
-        d_shared_bytes_per_block =
-          shared_bytes + (spill_bytes * 32 * trace.T.warps_per_block);
-      }
-    in
-    let alloc_base = A.baseline case.Gen.kernel in
-    let alloc_comp = A.run case.Gen.kernel ~width_of in
-    let module Sp = Gpr_backend.Backend_spill in
-    let res = Sp.analyze ~kernel:case.Gen.kernel ~width:wt ~precision:None in
-    List.iter
-      (fun waves ->
-        assert_singleton_matches
-          (Printf.sprintf "gen%d/baseline" seed)
-          ~trace ~alloc:alloc_base
-          ~demand:(demand_of alloc_base.A.pressure 0)
-          ~mode:Sim.Baseline ~waves;
-        assert_singleton_matches
-          (Printf.sprintf "gen%d/proposed" seed)
-          ~trace ~alloc:alloc_comp
-          ~demand:(demand_of alloc_comp.A.pressure 0)
-          ~mode:(Sim.Proposed { writeback_delay = 3 })
-          ~waves;
-        assert_singleton_matches
-          (Printf.sprintf "gen%d/spill" seed)
-          ~trace ~alloc:res.Backend.alloc
-          ~demand:
-            (demand_of res.Backend.alloc.A.pressure
-               (Backend.spill_bytes_per_thread res))
-          ~mode:(Backend.sim_mode (module Sp) res)
-          ~waves)
-      [ 1; 6 ]
+let test_registry_singleton () = Sim_oracle.registry assert_singleton_matches
 
 let singleton_count =
   match Sys.getenv_opt "GPR_SIM_EQ_COUNT" with
@@ -215,7 +63,7 @@ let prop_singleton_agrees =
     ~count:singleton_count
     (QCheck.int_range 1 1_000_000)
     (fun seed ->
-      check_generated_seed seed;
+      Sim_oracle.generated seed assert_singleton_matches;
       true)
 
 (* ---------------------------------------------------------------- *)
@@ -231,15 +79,8 @@ let tenant_of (w : W.t) (scheme : Backend.t) ~waves =
       ~warps_per_block:(W.warps_per_block w)
       ~shared_bytes_per_block:(W.shared_bytes_per_block w)
   in
-  let occ = Occ.of_demand cfg demand ~warps_per_block:(W.warps_per_block w) in
-  {
-    Multi.t_label = w.name;
-    t_trace = trace;
-    t_alloc = res.Backend.alloc;
-    t_mode = Backend.sim_mode scheme res;
-    t_demand = demand;
-    t_blocks = max 1 (waves * occ.Occ.blocks_per_sm);
-  }
+  Multi.make_tenant ~waves cfg ~label:w.name ~trace ~alloc:res.Backend.alloc
+    ~demand ~mode:(Backend.sim_mode scheme res)
 
 let pair_kernels () =
   let by_name n = Option.get (Gpr_workloads.Registry.by_name n) in

@@ -327,6 +327,57 @@ let test_duplicate_coalescing () =
    | _ -> Alcotest.fail "lint failed");
   Alcotest.(check int) "tags prevented coalescing" 1 (Server.coalesced t)
 
+(* ---------------- partial writes ---------------- *)
+
+(* A pipelined burst whose responses overflow small socket buffers:
+   while the client holds off reading, the server's writes go partial
+   (each ~20 KB frame is more than the socket takes at once), and every
+   frame must still arrive whole, byte-exact and in request order.  An
+   unknown kernel name is echoed in its error, which makes the frames
+   large; resolution errors are answered in arrival order. *)
+let test_pipelined_partial_writes () =
+  with_server ~cfg:{ default with Server.workers = 1 } @@ fun t _conn ->
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
+  Unix.setsockopt_int b Unix.SO_SNDBUF 4096;
+  Unix.setsockopt_int a Unix.SO_RCVBUF 4096;
+  Unix.setsockopt_float a Unix.SO_RCVTIMEO 30.0;
+  Server.attach t b;
+  let req id = P.request ~id ~kernel:(String.make 20_000 'k') "estimate" in
+  let frame id =
+    match Work.resolve (req id) with
+    | Ok _ -> Alcotest.fail "an unknown kernel resolved"
+    | Error e ->
+      Bytes.to_string
+        (P.encode_frame
+           (J.to_string
+              (P.response_to_json { P.s_id = id; s_result = Error e })))
+  in
+  let read_exact n =
+    let buf = Bytes.create n in
+    let rec go off =
+      if off < n then
+        match Unix.read a buf off (n - off) with
+        | 0 -> Alcotest.failf "server closed after %d of %d bytes" off n
+        | k -> go (off + k)
+    in
+    go 0;
+    Bytes.to_string buf
+  in
+  let burst = List.init 32 (fun i -> i + 1) in
+  List.iter
+    (fun id -> P.write_frame a (J.to_string (P.request_to_json (req id))))
+    burst;
+  Unix.sleepf 0.2;
+  List.iter
+    (fun id ->
+      let want = frame id in
+      Alcotest.(check string)
+        (Printf.sprintf "frame %d" id)
+        want
+        (read_exact (String.length want)))
+    burst
+
 (* ---------------- property: one response per request ---------------- *)
 
 let arb_request =
@@ -425,6 +476,8 @@ let () =
           Alcotest.test_case "duplicate coalescing" `Quick
             test_duplicate_coalescing;
           Alcotest.test_case "stop drains in-flight" `Quick test_stop_drains;
+          Alcotest.test_case "pipelined partial writes" `Quick
+            test_pipelined_partial_writes;
         ] );
       ( "property",
         [
