@@ -297,10 +297,12 @@ let write_obs_json entries =
    registered backend by the flat engine and by the reference engine
    (a single-tenant [Sim_multi] run), written to BENCH_sim.json as
    cycles/sec per scheme.  The reference run doubles as an in-bench
-   equivalence audit: any stats divergence aborts with exit 1.  The
-   recorded host lets the tier-2 perf-regression test in
-   test/test_sim.ml gate its absolute-throughput comparison to the
-   machine the baseline was committed from. *)
+   equivalence audit: any stats divergence aborts with exit 1.  Each
+   kernel row also records [Gpr_util.Stats.reference_slice]'s time,
+   interleaved with that kernel's calls, so the tier-2 perf-regression
+   test in test/test_sim.ml can compare throughput in reference units;
+   the recorded host limits that comparison to the machine the
+   baseline was committed from. *)
 
 let run_sim_bench () =
   let module W = Gpr_workloads.Workload in
@@ -382,15 +384,19 @@ let run_sim_bench () =
             kernels ))
       Gpr_backend.Registry.all
   in
-  (* Each engine's seconds per kernel: its fastest of [sim_rounds]
-     calls in process CPU time.  The file records [rounds] so the
-     tier-2 test in test/test_sim.ml measures the same statistic. *)
+  (* Each engine's seconds per kernel, and the reference slice's
+     beside them: the fastest of [sim_rounds] calls in process CPU
+     time.  The file records [rounds] so the tier-2 test in
+     test/test_sim.ml measures the same statistic. *)
   let best =
     Gpr_util.Stats.best_cpu_times ~rounds:sim_rounds
       (Array.of_list
          (List.concat_map
             (fun (_, rows) ->
-              List.concat_map (fun (_, _, fast, slow) -> [ fast; slow ]) rows)
+              List.concat_map
+                (fun (_, _, fast, slow) ->
+                  [ fast; slow; Gpr_util.Stats.reference_slice ])
+                rows)
             cases))
   in
   let next = ref 0 in
@@ -407,6 +413,7 @@ let run_sim_bench () =
             (fun (name, cycles, _, _) ->
               let fsec = take () in
               let rsec = take () in
+              let refsec = take () in
               t_cycles := !t_cycles + cycles;
               t_fast := !t_fast +. fsec;
               t_ref := !t_ref +. rsec;
@@ -419,6 +426,7 @@ let run_sim_bench () =
                   ("ref_seconds", sim_seconds rsec);
                   ( "speedup",
                     J.Float (round2 (if fsec > 0.0 then rsec /. fsec else 0.0)) );
+                  ("reference_seconds", sim_seconds refsec);
                 ])
             rows
         in

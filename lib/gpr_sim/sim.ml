@@ -5,21 +5,23 @@
    flat preallocated state so the steady-state cycle loop allocates
    nothing:
 
-   - replay traces are packed once per run into per-(block, warp)
-     int-array code streams (unit/pc/dst/active/mem-descriptor/srcs per
-     instruction) with memory accesses pre-coalesced into line lists —
-     the per-issue Hashtbl coalescing of the reference engine runs once
-     per static instruction instead of once per dynamic replay;
+   - replay traces are packed into per-(block, warp) int-array code
+     streams (unit/pc/dst/active/mem-descriptor/srcs per instruction)
+     with memory accesses pre-coalesced into line lists — the per-issue
+     Hashtbl coalescing of the reference engine runs once per static
+     instruction instead of once per dynamic replay.  The packing is
+     memoised per domain on the trace's physical identity (and the L1
+     line size, the one config field it reads), so the schemes that
+     replay one trace in turn pack it once;
    - warp state (pointers, ages, barrier flags, outstanding counts) and
      the scoreboard are struct-of-arrays over resident-warp slots, with
      the scoreboard a dense [warps x registers] count array;
    - the operand collectors are struct-of-arrays with per-CU stage
      counters so dead stages are skipped in O(1);
-   - retire events live in a grow-only binary min-heap keyed (cycle
-     asc, insertion seq desc) — the descending seq tie-break reproduces
-     the reference engine's LIFO bucket order exactly, which matters
-     when two blocks finish on the same cycle and compete for feeder
-     blocks;
+   - retire events live in a grow-only calendar ring of per-cycle
+     buckets, each a LIFO stack — exactly the reference engine's
+     prepend-then-iterate bucket order, which matters when two blocks
+     finish on the same cycle and compete for feeder blocks;
    - the writeback bus and the per-cycle bank/indirection-table claims
      use generation-stamped rings instead of per-cycle hash tables;
    - the idle fast-forward jumps straight to the next scheduled retire
@@ -168,22 +170,37 @@ module Vec = struct
   let to_array v = Array.sub v.a 0 v.n
 end
 
-let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
-    (cfg : Gpr_arch.Config.t) ~(trace : Trace.t) ~(alloc : Alloc.t)
-    ~blocks_per_sm ~mode =
-  let proposed_delay =
-    match mode with
-    | Baseline | Spill _ -> 0
-    | Proposed { writeback_delay } -> writeback_delay
-  in
-  let is_proposed = match mode with Proposed _ -> true | _ -> false in
-  let spilled_tbl, spill_latency =
-    match mode with
-    | Spill { latency; spilled } -> (Some spilled, latency)
-    | Baseline | Proposed _ -> (None, 0)
-  in
+(* Trailing-zero count of a single-bit mask, via the classic mod-67
+   perfect hash (2 is a primitive root mod 67, so 2^k mod 67 is
+   injective for k = 0..62).  The engine's bitmasks only use bits
+   0..61; [1 lsl 62] is negative, and this module is built with
+   -unsafe, so bit 62 must not be stored. *)
+let ctz_tbl =
+  let t = Array.make 67 0 in
+  for k = 0 to 61 do
+    t.(1 lsl k mod 67) <- k
+  done;
+  t
 
-  (* ---------------- preprocessing: pack the trace ---------------- *)
+(* A trace packed for replay: the code streams, their barrier counts
+   and lengths, the memory descriptors, and the register and source
+   bounds.  Read-only once built. *)
+type packed = {
+  line_bytes : int;  (* the L1 line size the lines were coalesced at *)
+  st_code : int array array;
+  st_off : int array array;  (* per stream: instruction offsets, + end *)
+  st_bars : int array;  (* per stream: bar.sync count *)
+  s_len : int array;  (* per stream: instruction count *)
+  md_kind : int array;
+  md_factor : int array;
+  md_loff : int array;
+  md_lcnt : int array;
+  md_lines : int array;
+  max_reg : int;
+  max_srcs : int;
+}
+
+let pack ~line_bytes (trace : Trace.t) =
   let wpb = trace.Trace.warps_per_block in
   let nblocks = trace.Trace.num_blocks in
   let nstreams = max 1 (nblocks * wpb) in
@@ -242,7 +259,7 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
           exactly. *)
        let lines = Hashtbl.create 8 in
        Array.iter
-         (fun a -> Hashtbl.replace lines (a / cfg.l1_line_bytes) ())
+         (fun a -> Hashtbl.replace lines (a / line_bytes) ())
          m.m_addresses;
        let off = md_lines.Vec.n in
        Hashtbl.iter (fun line () -> Vec.push md_lines line) lines;
@@ -292,16 +309,64 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
     st_off.(s) <- Vec.to_array off_buf;
     st_bars.(s) <- !bars
   done;
-  let s_len = s_count in
-  let md_kind = Vec.to_array md_kind in
-  let md_factor = Vec.to_array md_factor in
-  let md_loff = Vec.to_array md_loff in
-  let md_lcnt = Vec.to_array md_lcnt in
-  let md_lines = Vec.to_array md_lines in
+  {
+    line_bytes;
+    st_code;
+    st_off;
+    st_bars;
+    s_len = s_count;
+    md_kind = Vec.to_array md_kind;
+    md_factor = Vec.to_array md_factor;
+    md_loff = Vec.to_array md_loff;
+    md_lcnt = Vec.to_array md_lcnt;
+    md_lines = Vec.to_array md_lines;
+    max_reg = !max_reg;
+    max_srcs = !max_srcs;
+  }
+
+(* The last trace this domain packed, keyed by physical identity: the
+   schemes of one kernel replay the same trace in turn, and only the
+   first of them packs it.  An ephemeron, so the memo never keeps a
+   trace (or its packing) alive; domain-local, so worker domains never
+   share or race on it. *)
+let pack_slot : (Trace.t, packed) Ephemeron.K1.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let packing (cfg : Gpr_arch.Config.t) trace =
+  let slot = Domain.DLS.get pack_slot in
+  match Option.bind !slot (fun e -> Ephemeron.K1.query e trace) with
+  | Some p when p.line_bytes = cfg.l1_line_bytes -> p
+  | _ ->
+    let p = pack ~line_bytes:cfg.l1_line_bytes trace in
+    slot := Some (Ephemeron.K1.make trace p);
+    p
+
+let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
+    (cfg : Gpr_arch.Config.t) ~(trace : Trace.t) ~(alloc : Alloc.t)
+    ~blocks_per_sm ~mode =
+  let proposed_delay =
+    match mode with
+    | Baseline | Spill _ -> 0
+    | Proposed { writeback_delay } -> writeback_delay
+  in
+  let is_proposed = match mode with Proposed _ -> true | _ -> false in
+  let spilled_tbl, spill_latency =
+    match mode with
+    | Spill { latency; spilled } -> (Some spilled, latency)
+    | Baseline | Proposed _ -> (None, 0)
+  in
+
+  let p = packing cfg trace in
+  let wpb = trace.Trace.warps_per_block in
+  let nblocks = trace.Trace.num_blocks in
+  let st_code = p.st_code and st_off = p.st_off and st_bars = p.st_bars in
+  let s_len = p.s_len in
+  let md_kind = p.md_kind and md_factor = p.md_factor in
+  let md_loff = p.md_loff and md_lcnt = p.md_lcnt and md_lines = p.md_lines in
 
   (* Per-register precomputation (bank bases, split second banks,
      converter need, spill residence). *)
-  let nreg = !max_reg + 1 in
+  let nreg = p.max_reg + 1 in
   let rg_base0 = Array.make (max 1 nreg) 0 in
   let rg_base1 = Array.make (max 1 nreg) (-1) in
   let rg_convert = Array.make (max 1 nreg) false in
@@ -416,7 +481,7 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
      refreshed only when the warp's pointer moves.  The issue and
      stall-classification walks touch just this row and the
      scoreboard, never the packed streams. *)
-  let nx_stride = 3 + !max_srcs in
+  let nx_stride = 3 + p.max_srcs in
   let nx = Array.make (max 1 (nw * nx_stride)) (-1) in
   (* Cached scoreboard readiness of each warp's decoded next
      instruction.  A warp's readiness can only change when its pointer
@@ -517,17 +582,6 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
         m_sync.(sd) <- m_sync.(sd) land lnot bit
       end
     end
-  in
-  (* Trailing-zero count for single-bit masks (the extracted LSB). *)
-  let ctz v =
-    let v = ref v and n = ref 0 in
-    if !v land 0xFFFFFFFF = 0 then begin v := !v lsr 32; n := !n + 32 end;
-    if !v land 0xFFFF = 0 then begin v := !v lsr 16; n := !n + 16 end;
-    if !v land 0xFF = 0 then begin v := !v lsr 8; n := !n + 8 end;
-    if !v land 0xF = 0 then begin v := !v lsr 4; n := !n + 4 end;
-    if !v land 0x3 = 0 then begin v := !v lsr 2; n := !n + 2 end;
-    if !v land 0x1 = 0 then incr n;
-    !n
   in
   let sched_clean = Array.make nsched false in
   (* Scan-prefix mark per scheduler: positions below it in [scan_w]
@@ -655,7 +709,7 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
 
   (* ---------------- collector units: struct of arrays ---------------- *)
   let ncu = cfg.operand_collectors in
-  let max_ops = !max_srcs in
+  let max_ops = p.max_srcs in
   let cu_busy = Array.make ncu false in
   let cu_free = ref ncu in
   let cu_warp = Array.make ncu 0 in
@@ -691,14 +745,6 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
   let ready_spu = ref 0 in
   let ready_sfu = ref 0 in
   let ready_ldst = ref 0 in
-  (* ctz via the classic mod-67 perfect hash (2 is a primitive root
-     mod 67, so 2^k mod 67 is injective for k = 0..62).  Masks only
-     use bits 0..61 ([cu_mask_ok]); [1 lsl 62] is negative, and this
-     module is built with -unsafe, so bit 62 must not be stored. *)
-  let ctz_tbl = Array.make 67 0 in
-  for k = 0 to 61 do
-    ctz_tbl.(1 lsl k mod 67) <- k
-  done;
   (* [u] is passed explicitly because [do_issue] marks a fresh CU
      ready before it has stored the unit into [cu_unit]. *)
   let mark_ready i u =
@@ -725,81 +771,102 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
   let n_conv = ref 0 in
   let rec lowest_free_cu i = if cu_busy.(i) then lowest_free_cu (i + 1) else i in
 
-  (* ---------------- retire-event heap ----------------
-     Min-heap on (cycle asc, seq desc): for events on the same cycle
-     the most recently scheduled retires first, matching the reference
-     engine's prepend-then-iterate bucket order. *)
-  let ev_cyc = ref (Array.make 256 0) in
-  let ev_seq = ref (Array.make 256 0) in
-  let ev_wrp = ref (Array.make 256 0) in
-  let ev_dst = ref (Array.make 256 0) in
+  (* ---------------- retire-event calendar ring ----------------
+     Bucket [c land (size-1)] holds the retire events of cycle [c] as a
+     LIFO stack of nodes, so the events of one cycle pop most recently
+     scheduled first: the reference engine's prepend-then-iterate
+     bucket order.  Events are always scheduled for a later cycle and
+     the loop visits every cycle that has any (the idle fast-forward
+     stops at the next non-empty bucket), so step 1 only ever pops the
+     bucket of [now].  A push into a bucket holding another cycle grows
+     the ring, so a bucket never mixes cycles.  Nodes live in parallel
+     arrays threaded onto a free list. *)
+  let rq_size = ref 1024 in
+  let rq_cyc = ref (Array.make !rq_size 0) in
+  let rq_head = ref (Array.make !rq_size (-1)) in
+  let nd_wrp = ref (Array.make 256 0) in
+  let nd_dst = ref (Array.make 256 0) in
+  let nd_next = ref (Array.init 256 (fun k -> if k < 255 then k + 1 else -1)) in
+  let nd_free = ref 0 in
   let ev_n = ref 0 in
-  let ev_stamp = ref 0 in
-  (* Scratch cursors for the heap sifts (hoisted: allocation-free). *)
-  let ev_i = ref 0 in
-  let ev_go = ref false in
-  let ev_swap i j =
-    let c = !ev_cyc and s = !ev_seq and w = !ev_wrp and d = !ev_dst in
-    let t = c.(i) in c.(i) <- c.(j); c.(j) <- t;
-    let t = s.(i) in s.(i) <- s.(j); s.(j) <- t;
-    let t = w.(i) in w.(i) <- w.(j); w.(j) <- t;
-    let t = d.(i) in d.(i) <- d.(j); d.(j) <- t
-  in
-  let ev_before i j =
-    let c = !ev_cyc and s = !ev_seq in
-    c.(i) < c.(j) || (c.(i) = c.(j) && s.(i) > s.(j))
-  in
-  let ev_push cycle warp dst =
-    if !ev_n = Array.length !ev_cyc then begin
-      let grow a =
-        let b = Array.make (2 * !ev_n) 0 in
-        Array.blit !a 0 b 0 !ev_n;
-        a := b
-      in
-      grow ev_cyc; grow ev_seq; grow ev_wrp; grow ev_dst
-    end;
-    incr ev_stamp;
-    let i = !ev_n in
-    (!ev_cyc).(i) <- cycle;
-    (!ev_seq).(i) <- !ev_stamp;
-    (!ev_wrp).(i) <- warp;
-    (!ev_dst).(i) <- dst;
-    ev_n := !ev_n + 1;
-    ev_i := i;
-    ev_go := true;
-    while !ev_go && !ev_i > 0 do
-      let p = (!ev_i - 1) / 2 in
-      if ev_before !ev_i p then begin
-        ev_swap !ev_i p;
-        ev_i := p
-      end
-      else ev_go := false
-    done;
-  in
-  (* Out-parameters of [ev_pop], so a retire allocates nothing. *)
-  let ev_pw = ref 0 in
-  let ev_pd = ref 0 in
-  let ev_pop () =
-    ev_pw := (!ev_wrp).(0);
-    ev_pd := (!ev_dst).(0);
-    ev_n := !ev_n - 1;
-    if !ev_n > 0 then begin
-      ev_swap 0 !ev_n;
-      ev_i := 0;
-      ev_go := true;
-      while !ev_go do
-        let i = !ev_i in
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let m = if l < !ev_n && ev_before l i then l else i in
-        let m = if r < !ev_n && ev_before r m then r else m in
-        if m <> i then begin
-          ev_swap i m;
-          ev_i := m
+  let rec rq_grow size =
+    let ocyc = !rq_cyc and ohead = !rq_head in
+    let cyc = Array.make size 0 and head = Array.make size (-1) in
+    let ok = ref true in
+    for i = 0 to Array.length ohead - 1 do
+      if ohead.(i) >= 0 then begin
+        let j = ocyc.(i) land (size - 1) in
+        if head.(j) >= 0 then ok := false
+        else begin
+          cyc.(j) <- ocyc.(i);
+          head.(j) <- ohead.(i)
         end
-        else ev_go := false
-      done
+      end
+    done;
+    if !ok then begin
+      rq_size := size;
+      rq_cyc := cyc;
+      rq_head := head
+    end
+    else rq_grow (2 * size)
+  in
+  let nd_grow () =
+    let n = Array.length !nd_wrp in
+    let extend a fill =
+      let b = Array.make (2 * n) fill in
+      Array.blit !a 0 b 0 n;
+      a := b
+    in
+    extend nd_wrp 0;
+    extend nd_dst 0;
+    extend nd_next (-1);
+    for k = n to (2 * n) - 2 do
+      (!nd_next).(k) <- k + 1
+    done;
+    nd_free := n
+  in
+  let rec ev_push c warp dst =
+    let i = c land (!rq_size - 1) in
+    let head = !rq_head in
+    if head.(i) >= 0 && (!rq_cyc).(i) <> c then begin
+      rq_grow (2 * !rq_size);
+      ev_push c warp dst
+    end
+    else begin
+      if !nd_free < 0 then nd_grow ();
+      let n = !nd_free in
+      let next = !nd_next in
+      nd_free := next.(n);
+      (!nd_wrp).(n) <- warp;
+      (!nd_dst).(n) <- dst;
+      next.(n) <- head.(i);
+      head.(i) <- n;
+      (!rq_cyc).(i) <- c;
+      incr ev_n
     end
   in
+  (* The earliest cycle with a retire event, from [c] on (only called
+     with an event pending): scan one turn of the ring up from [c]; if
+     every event lies further out, take the least bucket cycle. *)
+  let next_event c =
+    let head = !rq_head and cyc = !rq_cyc and mask = !rq_size - 1 in
+    let lim = c + !rq_size in
+    let c = ref c in
+    while
+      !c < lim && not (head.(!c land mask) >= 0 && cyc.(!c land mask) = !c)
+    do
+      incr c
+    done;
+    if !c < lim then !c
+    else begin
+      let m = ref max_int in
+      Array.iteri (fun i h -> if h >= 0 && cyc.(i) < !m then m := cyc.(i)) head;
+      assert (!m < max_int);
+      !m
+    end
+  in
+  (* Cursor of the bucket being drained (hoisted: allocation-free). *)
+  let ev_node = ref (-1) in
 
   (* ---------------- writeback-bus ring ----------------
      Slot [c land (size-1)] holds the bus usage of cycle [c]; the
@@ -1167,11 +1234,20 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
     let now = !cycle in
     progress := false;
 
-    (* 1. Retire events. *)
-    while !ev_n > 0 && (!ev_cyc).(0) <= now do
+    (* 1. Retire events: pop the bucket of [now], newest first. *)
+    let bi = now land (!rq_size - 1) in
+    if (!rq_head).(bi) >= 0 && (!rq_cyc).(bi) = now then begin
       progress := true;
-      ev_pop ();
-      let wi = !ev_pw and d = !ev_pd in
+      ev_node := (!rq_head).(bi);
+      (!rq_head).(bi) <- -1
+    end;
+    while !ev_node >= 0 do
+      let n = !ev_node in
+      let wi = (!nd_wrp).(n) and d = (!nd_dst).(n) in
+      ev_node := (!nd_next).(n);
+      (!nd_next).(n) <- !nd_free;
+      nd_free := n;
+      decr ev_n;
       if d >= 0 then begin
         let i = (wi * nreg) + d in
         if sb.(i) > 0 then sb.(i) <- sb.(i) - 1;
@@ -1480,7 +1556,7 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
               while !r <> 0 do
                 let lsb = !r land - !r in
                 r := !r lxor lsb;
-                let wi = (ctz lsb * nsched) + sd in
+                let wi = (ctz_tbl.(lsb mod 67) * nsched) + sd in
                 if wa_age.(wi) < !k then begin
                   k := wa_age.(wi);
                   best := wi
@@ -1565,8 +1641,8 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile
        per skipped cycle so the slot accounting stays complete. *)
     if not !progress then begin
       incr idle_cycles;
-      if !ev_n > 0 && (!ev_cyc).(0) > now + 1 then begin
-        let c = (!ev_cyc).(0) in
+      let c = if !ev_n > 0 then next_event (now + 1) else now + 1 in
+      if c > now + 1 then begin
         idle_cycles := !idle_cycles + (c - now - 1);
         Array.iter
           (fun cause -> if cause <> c_issued then bump cause (c - now - 1))

@@ -91,6 +91,12 @@ val run :
     [waves] (default 6) is the number of block waves fed through each
     resident slot; block traces are drawn round-robin from the grid.
 
+    The trace is packed for replay once and the packing reused by the
+    next run on the same trace in the same domain (keyed by the trace's
+    physical identity and [cfg.l1_line_bytes]; the memo never keeps a
+    trace alive).  So a trace must not be changed after its first run:
+    build a new one instead.
+
     With [~check:true] (default false) the model audits itself and
     raises {!Invariant_violation} if any of these break:
     - the scoreboard never lets an instruction issue with a pending

@@ -55,3 +55,31 @@ let best_cpu_times ~rounds fs =
       fs
   done;
   best
+
+let reference_slice () =
+  let data = Array.init 4096 (fun i -> i * 2654435761 land 0xffff) in
+  let st = Random.State.make [| 42 |] in
+  let table = Hashtbl.create 4096 in
+  for i = 1 to 30 do
+    List.sort compare (List.init 200 (fun _ -> Random.State.float st 1.0))
+    |> List.iteri (fun j x ->
+           Hashtbl.replace table (((i * 200) + j) land 4095)
+             (Float.to_int (x *. 1e6)))
+  done;
+  (* Four independent chains over cache-resident data: bound by issue
+     width and load ports, like the cycle engines' inner loops.  Every
+     index is below 4096, the array's length. *)
+  let a = ref 0 and b = ref 1 and c = ref 2 and d = ref 3 in
+  for _ = 1 to 2400 do
+    for i = 0 to 1023 do
+      let x = Array.unsafe_get data (4 * i) in
+      let y = Array.unsafe_get data ((4 * i) + 1) in
+      let z = Array.unsafe_get data ((4 * i) + 2) in
+      let w = Array.unsafe_get data ((4 * i) + 3) in
+      a := !a + (x lxor (y lsl 1));
+      b := !b lxor (y + (z lsr 2));
+      c := !c + (z land (w + 7));
+      d := !d lxor (w + x)
+    done
+  done;
+  ignore (Sys.opaque_identity (!a + !b + !c + !d))

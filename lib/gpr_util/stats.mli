@@ -20,3 +20,14 @@ val best_cpu_times : rounds:int -> (unit -> unit) array -> float array
     order, and returns each one's fastest call in process CPU seconds
     (user + system, [Sys.time]).  The rounds interleave the calls, so a
     drift in the host's speed reaches every function alike. *)
+
+val reference_slice : unit -> unit
+(** A fixed CPU workload of several milliseconds that serves as a unit
+    of host speed: a few list sorts with hashing, then mostly
+    throughput-bound integer work on cache-resident data (independent
+    chains of loads and ALU operations, the kind of work the cycle
+    engines do).  Timed with {!best_cpu_times} next to a measurement,
+    [seconds / reference seconds] cancels most of what host load does
+    to both: on a shared VM a busy sibling hardware thread stretches
+    such code's CPU time by ~1.6x, which CPU time alone does not hide.
+    Never change it: recorded ratios are relative to it. *)

@@ -64,8 +64,9 @@ let check_same label (fast : Sim.stats) (reference : Sim.stats) =
 
 let guarded f = try Ok (f ()) with Sim.Invariant_violation m -> Error m
 
-(* The flat engine under ~check:true, at the demand's occupancy. *)
-let flat ?faults ~trace ~alloc ~demand ~mode ~waves () =
+(* The flat engine under ~check:true, at the demand's occupancy.
+   [cfg] defaults to the GTX 480. *)
+let flat ?(cfg = cfg) ?faults ~trace ~alloc ~demand ~mode ~waves () =
   let blocks_per_sm =
     (Occ.of_demand cfg demand ~warps_per_block:trace.T.warps_per_block)
       .Occ.blocks_per_sm
@@ -92,10 +93,10 @@ let judge label fast reference =
     Alcotest.failf "%s: only the reference engine violates: %s" label m
 
 (* The flat engine against the reference engine on the same inputs. *)
-let agree ?faults label ~trace ~alloc ~demand ~mode ~waves =
+let agree ?(cfg = cfg) ?faults label ~trace ~alloc ~demand ~mode ~waves =
   judge
     (Printf.sprintf "%s (waves=%d)" label waves)
-    (flat ?faults ~trace ~alloc ~demand ~mode ~waves ())
+    (flat ~cfg ?faults ~trace ~alloc ~demand ~mode ~waves ())
     (guarded (fun () ->
          Multi.single ~check:true ~waves ?faults cfg ~trace ~alloc ~demand
            ~mode))
@@ -128,14 +129,19 @@ type case =
 (* Every registry kernel under every registered backend (baseline /
    slice / rrcd / spill), each at its own demand and sim mode exactly
    as `gpr report --backend` maps it, at one wave.  Under
-   GPR_FAST_TESTS=1 only the 2-kernel CI smoke subset runs. *)
-let registry (f : case) =
+   GPR_FAST_TESTS=1 only the 2-kernel CI smoke subset runs; [only]
+   restricts the kernels to the named ones. *)
+let registry ?only (f : case) =
   let kernels =
-    if fast_tests then
+    match only with
+    | Some names ->
+      List.filter (fun (w : W.t) -> List.mem w.name names)
+        Gpr_workloads.Registry.all
+    | None when fast_tests ->
       List.filter
         (fun (w : W.t) -> w.name = "Hotspot" || w.name = "DWT2D")
         Gpr_workloads.Registry.all
-    else Gpr_workloads.Registry.all
+    | None -> Gpr_workloads.Registry.all
   in
   Alcotest.(check bool) "registry non-empty" true (kernels <> []);
   List.iter

@@ -467,6 +467,97 @@ let test_ffwd_spill_port_saturation () =
     (s.Sim.spill_loads > 0 && s.Sim.spill_stores > 0)
 
 (* ---------------------------------------------------------------- *)
+(* Retire horizons past the retire ring's initial 1024 buckets, pinned
+   to the reference engine.  With a DRAM latency of 4 x 1024 cycles a
+   miss retires more than a ring turn ahead of the events around it:
+   on real kernels pushes collide and the ring grows; a lone warp's
+   single far retire collides with nothing, so the idle fast-forward's
+   one-turn bucket scan comes up empty and falls back to the least
+   bucket cycle. *)
+
+let long_horizon_cfg = { cfg with dram_latency = 4 * 1024 }
+
+let agree_long_horizon label ~trace ~alloc ~demand ~mode ~waves =
+  ignore
+    (Oracle.agree ~cfg:long_horizon_cfg label ~trace ~alloc ~demand ~mode
+       ~waves)
+
+let test_ring_registry () =
+  Oracle.registry ~only:[ "Hotspot" ] agree_long_horizon
+
+let test_ring_generated () = Oracle.generated 1 agree_long_horizon
+
+let test_ring_lone_far_retire () =
+  let mem = { T.m_space = Global; m_addresses = Array.init 32 (fun l -> l * 4) } in
+  let trace =
+    mk_trace
+      [ item ~unit_:Ldst ~mem ~dst:0 0; item ~srcs:[ 0 ] ~dst:1 1;
+        item ~srcs:[ 1 ] 2 ]
+  in
+  let demand = Oracle.demand_for_blocks ~regs:64 ~warps_per_block:1 1 in
+  let s =
+    Oracle.agree ~cfg:long_horizon_cfg "lone-far-retire" ~trace
+      ~alloc:(full_alloc 64) ~demand ~mode:Sim.Baseline ~waves:1
+  in
+  Alcotest.(check bool) "waited out the DRAM latency" true
+    (s.Sim.cycles > long_horizon_cfg.dram_latency)
+
+(* ---------------------------------------------------------------- *)
+(* The packing memo: keyed by the trace's physical identity and the L1
+   line size, never observable in the stats. *)
+
+(* Hotspot's trace with its baseline allocation and demand. *)
+let hotspot_case () =
+  let w = Option.get (Gpr_workloads.Registry.by_name "Hotspot") in
+  let trace = W.trace w ~quantize:None in
+  let width = Gpr_analysis.Width.analyze w.kernel ~launch:w.launch in
+  let scheme = Gpr_backend.Registry.find_exn "baseline" in
+  let module S = (val scheme : Backend.Scheme) in
+  let res = S.analyze ~kernel:w.kernel ~width ~precision:None in
+  let demand =
+    Backend.demand cfg res ~warps_per_block:(W.warps_per_block w)
+      ~shared_bytes_per_block:(W.shared_bytes_per_block w)
+  in
+  (trace, res.Backend.alloc, demand, Backend.sim_mode scheme res)
+
+let test_memo_line_size () =
+  (* The same physical trace under two line sizes: a memo that ignored
+     the line size would replay the first run's cache lines. *)
+  let trace, alloc, demand, mode = hotspot_case () in
+  List.iter
+    (fun line ->
+      ignore
+        (Oracle.agree
+           ~cfg:{ cfg with l1_line_bytes = line }
+           (Printf.sprintf "Hotspot/%dB lines" line)
+           ~trace ~alloc ~demand ~mode ~waves:1))
+    [ 128; 32; 128 ]
+
+let flat_stats ~trace ~alloc ~demand ~mode =
+  match Oracle.flat ~trace ~alloc ~demand ~mode ~waves:1 () with
+  | Ok s -> s
+  | Error m -> Alcotest.failf "invariant violated: %s" m
+
+let test_memo_structural_copy () =
+  let trace, alloc, demand, mode = hotspot_case () in
+  let copy = { trace with T.items = Array.copy trace.T.items } in
+  let first = flat_stats ~trace ~alloc ~demand ~mode in
+  Oracle.check_same "copy" (flat_stats ~trace:copy ~alloc ~demand ~mode) first;
+  Oracle.check_same "original again" (flat_stats ~trace ~alloc ~demand ~mode)
+    first
+
+let test_memo_two_domains () =
+  (* Each domain packs into its own slot; runs overlap in time. *)
+  let trace, alloc, demand, mode = hotspot_case () in
+  let expect = flat_stats ~trace ~alloc ~demand ~mode in
+  let worker () = List.init 3 (fun _ -> flat_stats ~trace ~alloc ~demand ~mode) in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  List.iter
+    (fun d ->
+      List.iter (fun s -> Oracle.check_same "domain" s expect) (Domain.join d))
+    [ d1; d2 ]
+
+(* ---------------------------------------------------------------- *)
 (* Perf regression (tier 2; skipped under GPR_FAST_TESTS=1): re-time
    the CI smoke subset (Hotspot + DWT2D) per backend with both engines.
    Two gates:
@@ -474,20 +565,26 @@ let test_ffwd_spill_port_saturation () =
      the reference engine (a single-tenant Sim_multi run) on the same
      inputs (the committed BENCH_sim.json records >= 5x over the full
      registry on the baseline host);
-   - absolute (only on the host that produced the committed
-     BENCH_sim.json): per-scheme cycles/sec must not regress more than
-     30% against the committed numbers for these kernels. *)
+   - throughput (only on the host that produced the committed
+     BENCH_sim.json): per-scheme cycles per reference slice must not
+     regress more than 30% against the committed numbers for these
+     kernels.  Each kernel's time counts in units of
+     [Gpr_util.Stats.reference_slice], timed right beside it, so host
+     load that stretches CPU time (the suites dune runs in parallel, a
+     busy sibling hardware thread) cancels out of the ratio. *)
 
 module Json = Gpr_obs.Json
 
 let smoke_names = [ "Hotspot"; "DWT2D" ]
 
-(* Per-scheme (cycles, fast seconds, ref seconds) over the smoke set,
-   at the same wave count and with the same statistic as
-   BENCH_sim.json: after one untimed call, each engine's fastest of
-   [rounds] calls per kernel in process CPU time (dune runs the other
-   suites in parallel, and wall time would charge their share of the
-   CPUs to the engine under test). *)
+(* Per-scheme (cycles, fast seconds, ref seconds, fast reference
+   units) over the smoke set, at the same wave count and with the same
+   statistic as BENCH_sim.json: after one untimed call, each engine's
+   fastest of [rounds] calls per kernel in process CPU time (dune runs
+   the other suites in parallel, and wall time would charge their share
+   of the CPUs to the engine under test), and the fast time divided by
+   the fastest of the reference slices interleaved with that kernel's
+   calls. *)
 let measure_smoke ~waves ~rounds =
   let kernels =
     List.filter_map Gpr_workloads.Registry.by_name smoke_names
@@ -533,7 +630,10 @@ let measure_smoke ~waves ~rounds =
       (Array.of_list
          (List.concat_map
             (fun (_, rows) ->
-              List.concat_map (fun (_, fast, slow) -> [ fast; slow ]) rows)
+              List.concat_map
+                (fun (_, fast, slow) ->
+                  [ fast; slow; Gpr_util.Stats.reference_slice ])
+                rows)
             cases))
   in
   let next = ref 0 in
@@ -544,11 +644,12 @@ let measure_smoke ~waves ~rounds =
   List.map
     (fun (id, rows) ->
       List.fold_left
-        (fun (id, c, f, s) (cycles, _, _) ->
+        (fun (id, c, f, s, u) (cycles, _, _) ->
           let fs = take () in
           let rs = take () in
-          (id, c + cycles, f +. fs, s +. rs))
-        (id, 0, 0.0, 0.0) rows)
+          let refs = take () in
+          (id, c + cycles, f +. fs, s +. rs, u +. (fs /. refs)))
+        (id, 0, 0.0, 0.0, 0.0) rows)
     cases
 
 let json_float = function
@@ -556,9 +657,9 @@ let json_float = function
   | Some (Json.Int i) -> Some (float_of_int i)
   | _ -> None
 
-(* Committed per-scheme cycles/sec restricted to the smoke kernels:
-   recomputed from the per-kernel rows, not the scheme totals, so the
-   comparison is like-for-like. *)
+(* Committed per-scheme cycles per reference slice restricted to the
+   smoke kernels: recomputed from the per-kernel rows, not the scheme
+   totals, so the comparison is like-for-like. *)
 let committed_smoke_rate json scheme =
   match Json.member "schemes" json with
   | Some (Json.Arr schemes) ->
@@ -568,24 +669,25 @@ let committed_smoke_rate json scheme =
         | Some (Json.Str id) when id = scheme -> (
           match Json.member "kernels" sj with
           | Some (Json.Arr rows) ->
-            let cycles = ref 0 and secs = ref 0.0 and found = ref 0 in
+            let cycles = ref 0 and units = ref 0.0 and found = ref 0 in
             List.iter
               (fun row ->
                 match Json.member "kernel" row with
                 | Some (Json.Str k) when List.mem k smoke_names -> (
                   match
                     ( Json.member "cycles" row,
-                      json_float (Json.member "seconds" row) )
+                      json_float (Json.member "seconds" row),
+                      json_float (Json.member "reference_seconds" row) )
                   with
-                  | Some (Json.Int c), Some s ->
+                  | Some (Json.Int c), Some s, Some r when r > 0.0 ->
                     incr found;
                     cycles := !cycles + c;
-                    secs := !secs +. s
+                    units := !units +. (s /. r)
                   | _ -> ())
                 | _ -> ())
               rows;
-            if !found = List.length smoke_names && !secs > 0.0 then
-              Some (float_of_int !cycles /. !secs)
+            if !found = List.length smoke_names && !units > 0.0 then
+              Some (float_of_int !cycles /. !units)
             else None
           | _ -> None)
         | _ -> None)
@@ -613,7 +715,7 @@ let test_sim_throughput_regression () =
     let measured = measure_smoke ~waves ~rounds in
     (* Gate 1: the flat engine earns its keep on any machine. *)
     List.iter
-      (fun (id, _, fast, slow) ->
+      (fun (id, _, fast, slow, _) ->
         let speedup = if fast > 0.0 then slow /. fast else 0.0 in
         if speedup < 2.5 then
           Alcotest.failf
@@ -622,8 +724,8 @@ let test_sim_throughput_regression () =
              set)"
             id speedup)
       measured;
-    (* Gate 2: absolute throughput vs the committed baseline, only
-       meaningful on the machine that produced it. *)
+    (* Gate 2: throughput vs the committed baseline, in reference
+       units, only meaningful on the machine that produced it. *)
     match json with
     | None -> () (* no committed baseline: gate 1 already ran *)
     | Some json ->
@@ -634,18 +736,18 @@ let test_sim_throughput_regression () =
       in
       if same_host then
         List.iter
-          (fun (id, cycles, fast, _) ->
+          (fun (id, cycles, _, _, units) ->
             match committed_smoke_rate json id with
             | None -> ()
             | Some committed ->
               let rate =
-                if fast > 0.0 then float_of_int cycles /. fast else 0.0
+                if units > 0.0 then float_of_int cycles /. units else 0.0
               in
               if rate < 0.7 *. committed then
                 Alcotest.failf
-                  "%s: %.2f Mcyc/s is a >30%% regression vs the committed \
-                   %.2f Mcyc/s"
-                  id (rate /. 1e6) (committed /. 1e6))
+                  "%s: %.2f kcyc per reference slice is %.2f of the \
+                   committed %.2f (a >30%% regression)"
+                  id (rate /. 1e3) (rate /. committed) (committed /. 1e3))
           measured
   end
 
@@ -738,6 +840,20 @@ let () =
             test_ffwd_same_cycle_releases;
           Alcotest.test_case "spill-port saturation" `Quick
             test_ffwd_spill_port_saturation;
+        ] );
+      ( "retire-ring",
+        [
+          Alcotest.test_case "long horizon registry" `Quick test_ring_registry;
+          Alcotest.test_case "long horizon generated" `Quick
+            test_ring_generated;
+          Alcotest.test_case "lone far retire" `Quick
+            test_ring_lone_far_retire;
+        ] );
+      ( "pack-memo",
+        [
+          Alcotest.test_case "line size in key" `Quick test_memo_line_size;
+          Alcotest.test_case "structural copy" `Quick test_memo_structural_copy;
+          Alcotest.test_case "two domains" `Quick test_memo_two_domains;
         ] );
       ( "perf",
         [
