@@ -769,17 +769,6 @@ let run_faults_bench () =
    plus the diagnostic counts, written to BENCH_lint.json so lint
    throughput regressions are visible alongside the engine timings. *)
 
-let lint_buffer_len (w : Gpr_workloads.Workload.t) =
-  let data = w.data () in
-  fun name ->
-    match List.assoc_opt name w.shared with
-    | Some n -> Some n
-    | None -> (
-      match List.assoc_opt name data with
-      | Some (Gpr_exec.Exec.I_data a) -> Some (Array.length a)
-      | Some (Gpr_exec.Exec.F_data a) -> Some (Array.length a)
-      | None -> None)
-
 let run_lint_bench () =
   let module L = Gpr_lint.Lint in
   let module D = Gpr_lint.Diag in
@@ -789,7 +778,9 @@ let run_lint_bench () =
   let ctxs =
     List.map
       (fun (w : Gpr_workloads.Workload.t) ->
-        L.make_ctx ~buffer_len:(lint_buffer_len w) w.kernel ~launch:w.launch)
+        L.make_ctx
+          ~buffer_len:(Gpr_workloads.Workload.buffer_len w)
+          w.kernel ~launch:w.launch)
       workloads
   in
   let ctx_us = (Unix.gettimeofday () -. t0) *. 1e6 in

@@ -456,17 +456,6 @@ let check_cmd =
 
 (* ---------------- lint ---------------- *)
 
-let workload_buffer_len (w : W.t) =
-  let data = w.data () in
-  fun name ->
-    match List.assoc_opt name w.shared with
-    | Some n -> Some n
-    | None -> (
-      match List.assoc_opt name data with
-      | Some (Gpr_exec.Exec.I_data a) -> Some (Array.length a)
-      | Some (Gpr_exec.Exec.F_data a) -> Some (Array.length a)
-      | None -> None)
-
 let lint_cmd =
   let module L = Gpr_lint.Lint in
   let module D = Gpr_lint.Diag in
@@ -491,7 +480,7 @@ let lint_cmd =
          & info [ "grid" ] ~docv:"BLOCKS" ~doc:"Grid size (file targets only).")
   in
   let lint_workload (w : W.t) =
-    L.lint ~buffer_len:(workload_buffer_len w) w.kernel ~launch:w.launch
+    L.lint ~buffer_len:(W.buffer_len w) w.kernel ~launch:w.launch
   in
   let run target json block grid =
     let targets =

@@ -9,6 +9,10 @@ module Alloc = Gpr_alloc.Alloc
 module Ind = Gpr_regfile.Indirection
 module Dp = Gpr_regfile.Datapath
 module F = Gpr_fp.Format_
+module Backend = Gpr_backend.Backend
+module Sim = Gpr_sim.Sim
+module Multi = Gpr_sim.Sim_multi
+module Occ = Gpr_arch.Occupancy
 
 type mode = Exact | Narrow
 
@@ -197,22 +201,6 @@ let compare_outputs mode ref_data packed_data =
 
 let default_analyze k ~launch = Width.analyze k ~launch
 
-(* Forward soundness is checked on the *reference* run, where the
-   executed values are the ones the static analysis abstracts.  The
-   packed run may legitimately differ from them in bits no consumer
-   demands (demanded-width storage truncates dead high parts), so
-   validating intervals there would be checking the wrong semantics. *)
-let interval_check rt pc (d : vreg) v =
-  (match v with
-   | E.P_int iv when d.ty = S32 || d.ty = U32 ->
-     (match Range.var_range rt d.id with
-      | I.Bot -> ()
-      | range ->
-        if not (I.contains range iv) then
-          fail (Range_violation { pc; reg = d; value = iv; range }))
-   | _ -> ());
-  v
-
 (* The storage contract under demanded-width packing: a write must
    survive its slices in the low [demanded] bits — the only bits any
    later read can observe. *)
@@ -220,31 +208,59 @@ let demanded_of (wt : Width.t) (d : vreg) =
   if d.id < Array.length wt.Width.demanded then max 1 wt.Width.demanded.(d.id)
   else 32
 
-let check ?(analyze = default_analyze) ?(max_steps = 2_000_000) mode
-    (case : Gen.case) =
+(* A spill slot is one 32-bit shared-memory word: reloads recover the
+   low 32 bits, extended per the destination's signedness. *)
+let spill_roundtrip (d : vreg) iv =
+  let low = iv land Gpr_util.Bits.mask 32 in
+  match d.ty with
+  | S32 -> Gpr_util.Bits.sign_extend ~width:32 low
+  | U32 | F32 | Pred -> Gpr_util.Bits.zero_extend ~width:32 low
+
+(* Where a case's registers live: the allocation, the registers kept in
+   spill slots instead, and the caller's own static checks, which run
+   after the structural audit. *)
+type packing = {
+  alloc : Alloc.t;
+  spilled : (int, unit) Hashtbl.t;
+  audit : unit -> unit;
+}
+
+let resident alloc = { alloc; spilled = Backend.no_spills (); audit = ignore }
+
+(* Integer widths from the reduced product, everything else at 32 bits. *)
+let int_widths wt (r : vreg) =
+  match r.ty with
+  | Pred | F32 -> 32
+  | S32 | U32 -> Width.var_bitwidth wt r.id
+
+(* The plain-vs-packed harness every differential oracle runs:
+   analysis → allocation ([pack]) → static audit → reference run →
+   packed run → bit-identical outputs.
+
+   The reference run quantises each float definition exactly as its
+   allocated storage will (placements may be wider than requested when
+   an architectural name is shared, so the format comes from the
+   placement, not from the requested width), and validates every
+   integer write: against its interval, then [on_ref].  Forward
+   soundness is checked on the reference run, where the executed
+   values are the ones the static analysis abstracts; the packed run
+   may legitimately differ from them in bits no consumer demands
+   (demanded-width storage truncates dead high parts).
+
+   The packed run round-trips every write through its storage: the
+   indirection table and the TVT/TVE datapath for a placement, where
+   the low demanded bits must survive, or a 32-bit spill slot. *)
+let packed_vs_plain ?(on_ref = fun _ _ _ _ -> ()) ~analyze ~pack ~max_steps
+    mode (case : Gen.case) =
   guard @@ fun () ->
   let kernel = case.kernel in
   let wt = analyze kernel ~launch:case.launch in
   let rt = wt.Width.range in
-  let float_bits (r : vreg) =
-    match mode with
-    | Exact -> 32
-    | Narrow -> (F.of_level (case.float_level r)).F.total_bits
-  in
-  let width_of (r : vreg) =
-    match r.ty with
-    | Pred -> 32
-    | F32 -> float_bits r
-    | S32 | U32 -> Width.var_bitwidth wt r.id
-  in
-  let alloc = Alloc.run kernel ~width_of in
+  let { alloc; spilled; audit } = pack wt in
   check_alloc_static alloc;
+  audit ();
   let table = Ind.create alloc in
   let dsts = dst_of_pc kernel in
-  (* Reference: quantise float definitions exactly as their allocated
-     storage will (placements may be wider than requested when an
-     architectural name is shared, so the format comes from the
-     placement, not from the requested level). *)
   let ref_quantize pc v =
     match Hashtbl.find_opt dsts pc with
     | Some d ->
@@ -253,8 +269,18 @@ let check ?(analyze = default_analyze) ?(max_steps = 2_000_000) mode
        | _ -> F.quantize F.f32 v)
     | None -> F.quantize F.f32 v
   in
-  (* Packed: round-trip every write through the indirection table and
-     the TVT/TVE datapath; the low demanded bits must survive. *)
+  let on_ref_write pc (d : vreg) v =
+    (match v with
+     | E.P_int iv when d.ty = S32 || d.ty = U32 ->
+       (match Range.var_range rt d.id with
+        | I.Bot -> ()
+        | range ->
+          if not (I.contains range iv) then
+            fail (Range_violation { pc; reg = d; value = iv; range }));
+       on_ref wt pc d iv
+     | _ -> ());
+    v
+  in
   let on_write pc (d : vreg) v =
     match v with
     | E.P_int iv ->
@@ -267,7 +293,17 @@ let check ?(analyze = default_analyze) ?(max_steps = 2_000_000) mode
              (Storage_violation
                 { pc; reg = d; value = iv; roundtrip = back; bits = p.bits });
          E.P_int back
-       | _ -> v)
+       | Some _ -> v
+       | None ->
+         if Hashtbl.mem spilled d.id then begin
+           let back = spill_roundtrip d iv in
+           if back <> iv then
+             fail
+               (Storage_violation
+                  { pc; reg = d; value = iv; roundtrip = back; bits = 32 });
+           E.P_int back
+         end
+         else v)
     | E.P_float fv ->
       (match Ind.lookup table d.id with
        | Some p when p.is_float ->
@@ -275,25 +311,31 @@ let check ?(analyze = default_analyze) ?(max_steps = 2_000_000) mode
          E.P_float (Dp.load_float p ~r0 ~r1)
        | _ -> E.P_float (F.quantize F.f32 fv))
   in
-  let run config data =
+  let run config =
+    let data = case.data () in
     let bindings = E.bindings_for kernel ~data ~shared:case.shared () in
     ignore
-      (E.run kernel ~launch:case.launch ~params:case.params ~bindings config)
+      (E.run kernel ~launch:case.launch ~params:case.params ~bindings
+         { config with E.max_steps = Some max_steps });
+    data
   in
-  let ref_data = case.data () in
-  run
-    {
-      E.default_config with
-      quantize = Some ref_quantize;
-      on_write = Some (interval_check rt);
-      max_steps = Some max_steps;
-    }
-    ref_data;
-  let packed_data = case.data () in
-  run
-    { E.default_config with on_write = Some on_write; max_steps = Some max_steps }
-    packed_data;
+  let ref_data =
+    run
+      { E.default_config with
+        quantize = Some ref_quantize; on_write = Some on_ref_write }
+  in
+  let packed_data = run { E.default_config with on_write = Some on_write } in
   compare_outputs mode ref_data packed_data
+
+let check ?(analyze = default_analyze) ?(max_steps = 2_000_000) mode
+    (case : Gen.case) =
+  let width_of wt (r : vreg) =
+    match (r.ty, mode) with
+    | F32, Narrow -> (F.of_level (case.float_level r)).F.total_bits
+    | _ -> int_widths wt r
+  in
+  packed_vs_plain ~analyze ~max_steps mode case ~pack:(fun wt ->
+      resident (Alloc.run case.kernel ~width_of:(width_of wt)))
 
 (* ------------------------------------------------------------------ *)
 (* Width-analysis oracle: validates all four ingredients of the
@@ -310,97 +352,39 @@ let check ?(analyze = default_analyze) ?(max_steps = 2_000_000) mode
        demanded-bits truncation is unobservable. *)
 
 let check_width ?(max_steps = 2_000_000) (case : Gen.case) =
-  guard @@ fun () ->
-  let kernel = case.kernel in
-  let wt = Width.analyze kernel ~launch:case.launch in
-  let rt = wt.Width.range in
-  Array.iteri
-    (fun v wb ->
-       let ib = rt.Range.var_bits.(v) in
-       if wb > ib then
+  let dominance (wt : Width.t) =
+    Array.iteri
+      (fun v wb ->
+         let ib = wt.Width.range.Range.var_bits.(v) in
+         if wb > ib then
+           fail
+             (Width_violation
+                (Printf.sprintf
+                   "%%%d: product width %d exceeds interval width %d" v wb ib)))
+      wt.Width.var_bits
+  in
+  let on_ref wt pc (d : vreg) iv =
+    (match Width.known_bits wt d.id with
+     | KB.Bot -> ()
+     | kbv ->
+       if not (KB.mem iv kbv) then
          fail
            (Width_violation
-              (Printf.sprintf
-                 "%%%d: product width %d exceeds interval width %d" v wb ib)))
-    wt.Width.var_bits;
-  let on_ref_write pc (d : vreg) v =
-    (match v with
-     | E.P_int iv when d.ty = S32 || d.ty = U32 ->
-       (match Range.var_range rt d.id with
-        | I.Bot -> ()
-        | range ->
-          if not (I.contains range iv) then
-            fail (Range_violation { pc; reg = d; value = iv; range }));
-       (match Width.known_bits wt d.id with
-        | KB.Bot -> ()
-        | kbv ->
-          if not (KB.mem iv kbv) then
-            fail
-              (Width_violation
-                 (Printf.sprintf
-                    "pc %d wrote %%%s%d = %d outside known bits %s" pc d.name
-                    d.id iv (KB.to_string kbv))));
-       (match Width.congruence wt d.id with
-        | CG.Bot -> ()
-        | cgv ->
-          if not (CG.mem iv cgv) then
-            fail
-              (Width_violation
-                 (Printf.sprintf
-                    "pc %d wrote %%%s%d = %d outside congruence %s" pc d.name
-                    d.id iv (CG.to_string cgv))))
-     | _ -> ());
-    v
+              (Printf.sprintf "pc %d wrote %%%s%d = %d outside known bits %s"
+                 pc d.name d.id iv (KB.to_string kbv))));
+    match Width.congruence wt d.id with
+    | CG.Bot -> ()
+    | cgv ->
+      if not (CG.mem iv cgv) then
+        fail
+          (Width_violation
+             (Printf.sprintf "pc %d wrote %%%s%d = %d outside congruence %s" pc
+                d.name d.id iv (CG.to_string cgv)))
   in
-  let width_of (r : vreg) =
-    match r.ty with
-    | Pred | F32 -> 32
-    | S32 | U32 -> Width.var_bitwidth wt r.id
-  in
-  let alloc = Alloc.run kernel ~width_of in
-  check_alloc_static alloc;
-  let table = Ind.create alloc in
-  let on_write pc (d : vreg) v =
-    match v with
-    | E.P_int iv ->
-      (match Ind.lookup table d.id with
-       | Some p when not p.is_float ->
-         let r0, r1 = Dp.store_int p iv in
-         let back = Dp.load_int p ~r0 ~r1 in
-         if (back lxor iv) land Gpr_util.Bits.mask (demanded_of wt d) <> 0 then
-           fail
-             (Storage_violation
-                { pc; reg = d; value = iv; roundtrip = back; bits = p.bits });
-         E.P_int back
-       | _ -> v)
-    | E.P_float fv ->
-      (* Floats stay at 32 bits here; the storage path is still the
-         real one (f32 placements are identity modulo flush). *)
-      (match Ind.lookup table d.id with
-       | Some p when p.is_float ->
-         let r0, r1 = Dp.store_float p fv in
-         E.P_float (Dp.load_float p ~r0 ~r1)
-       | _ -> E.P_float (F.quantize F.f32 fv))
-  in
-  let run config data =
-    let bindings = E.bindings_for kernel ~data ~shared:case.shared () in
-    ignore
-      (E.run kernel ~launch:case.launch ~params:case.params ~bindings config)
-  in
-  let ref_data = case.data () in
-  run
-    {
-      E.default_config with
-      quantize = Some (fun _ v -> F.quantize F.f32 v);
-      on_write = Some on_ref_write;
-      max_steps = Some max_steps;
-    }
-    ref_data;
-  let packed_data = case.data () in
-  run
-    { E.default_config with on_write = Some on_write; max_steps = Some max_steps }
-    packed_data;
-  compare_outputs Exact ref_data packed_data
+  packed_vs_plain ~on_ref ~analyze:default_analyze ~max_steps Exact case
+    ~pack:(fun wt ->
+      dominance wt;
+      resident (Alloc.run case.kernel ~width_of:(int_widths wt)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -441,8 +425,6 @@ let check_lint ?(max_steps = 2_000_000) (case : Gen.case) =
    carry), so floats stay 32-bit everywhere; the reference run
    quantises float definitions to f32 accordingly. *)
 
-module Backend = Gpr_backend.Backend
-
 (* Every live range must be either resident (has a placement) or
    spilled — never both, never neither.  Execution alone would not
    catch a dropped register: an unplaced, unspilled write silently
@@ -463,128 +445,94 @@ let check_backend_coverage kernel (res : Backend.resources) =
               (Printf.sprintf "%%%d is neither resident nor spilled" v)))
     (Gpr_analysis.Liveness.intervals live)
 
-(* A spill slot is one 32-bit shared-memory word: reloads recover the
-   low 32 bits, extended per the destination's signedness. *)
-let spill_roundtrip (d : vreg) iv =
-  let low = iv land Gpr_util.Bits.mask 32 in
-  match d.ty with
-  | S32 -> Gpr_util.Bits.sign_extend ~width:32 low
-  | U32 | F32 | Pred -> Gpr_util.Bits.zero_extend ~width:32 low
-
 let check_backend ?(max_steps = 2_000_000) (b : Backend.t) (case : Gen.case) =
-  guard @@ fun () ->
   let module S = (val b : Backend.Scheme) in
   let kernel = case.kernel in
-  let wt = Width.analyze kernel ~launch:case.launch in
-  let rt = wt.Width.range in
-  let res = S.analyze ~kernel ~width:wt ~precision:None in
-  let alloc = res.Backend.alloc in
-  check_alloc_static alloc;
-  check_backend_coverage kernel res;
-  if Hashtbl.length res.Backend.spilled > 0 && res.Backend.spill_slots <= 0
-  then
-    fail
-      (Alloc_violation
-         (Printf.sprintf "%d spilled registers but %d spill slots"
-            (Hashtbl.length res.Backend.spilled) res.Backend.spill_slots));
-  let table = Ind.create alloc in
-  let dsts = dst_of_pc kernel in
-  let ref_quantize pc v =
-    match Hashtbl.find_opt dsts pc with
-    | Some d ->
-      (match Ind.lookup table d.id with
-       | Some p when p.is_float -> F.quantize (Dp.format_of_placement p) v
-       | _ -> F.quantize F.f32 v)
-    | None -> F.quantize F.f32 v
+  packed_vs_plain ~analyze:default_analyze ~max_steps Exact case
+    ~pack:(fun wt ->
+      let res = S.analyze ~kernel ~width:wt ~precision:None in
+      let audit () =
+        check_backend_coverage kernel res;
+        if Hashtbl.length res.Backend.spilled > 0 && res.Backend.spill_slots <= 0
+        then
+          fail
+            (Alloc_violation
+               (Printf.sprintf "%d spilled registers but %d spill slots"
+                  (Hashtbl.length res.Backend.spilled) res.Backend.spill_slots))
+      in
+      { alloc = res.Backend.alloc; spilled = res.Backend.spilled; audit })
+
+(* ------------------------------------------------------------------ *)
+(* Timing-model oracles *)
+
+let cfg = Gpr_arch.Config.fermi_gtx480
+
+(* The case's dynamic warp trace, on fresh inputs. *)
+let trace_of ~max_steps (c : Gen.case) =
+  let data = c.data () in
+  let bindings = E.bindings_for c.kernel ~data ~shared:c.shared () in
+  E.run c.kernel ~launch:c.launch ~params:c.params ~bindings
+    { E.default_config with collect_trace = true; max_steps = Some max_steps }
+
+let trace_exn ~max_steps c =
+  match trace_of ~max_steps c with
+  | Some t -> t
+  | None -> fail (Exec_failure "trace collection returned no trace")
+
+let shared_bytes (c : Gen.case) =
+  4 * List.fold_left (fun acc (_, n) -> acc + n) 0 c.shared
+
+(* Blocks per SM at [alloc]'s register pressure and the case's shared
+   memory. *)
+let register_occupancy (c : Gen.case) trace (alloc : Alloc.t) =
+  (Occ.compute cfg ~regs_per_thread:(max 1 alloc.pressure)
+     ~warps_per_block:trace.Gpr_exec.Trace.warps_per_block
+     ~shared_bytes_per_block:(shared_bytes c))
+    .Occ.blocks_per_sm
+
+(* [Sim.run] with its self-checks armed; an invariant violation becomes
+   a [Sim_violation] carrying [context msg]. *)
+let sim_checked ?(context = Fun.id) ?(waves = 2) cfg ~trace ~alloc
+    ~blocks_per_sm ~mode =
+  try Sim.run ~check:true ~waves cfg ~trace ~alloc ~blocks_per_sm ~mode
+  with Sim.Invariant_violation msg -> fail (Sim_violation (context msg))
+
+(* [Sim.run] at [demand]'s occupancy, pinned byte-equal to the
+   reference engine — a lone tenant of [Sim_multi] — on the same
+   inputs.  [audit] sees the stats before the reference engine runs;
+   [violates] and [diverges] word the reference engine's failures. *)
+let sim_pinned ?context ?(audit = ignore) ~violates ~diverges ~waves cfg
+    ~trace ~alloc ~demand ~mode =
+  let blocks_per_sm =
+    (Occ.of_demand cfg demand
+       ~warps_per_block:trace.Gpr_exec.Trace.warps_per_block)
+      .Occ.blocks_per_sm
   in
-  let on_write pc (d : vreg) v =
-    match v with
-    | E.P_int iv ->
-      (match Ind.lookup table d.id with
-       | Some p when not p.is_float ->
-         let r0, r1 = Dp.store_int p iv in
-         let back = Dp.load_int p ~r0 ~r1 in
-         if (back lxor iv) land Gpr_util.Bits.mask (demanded_of wt d) <> 0 then
-           fail
-             (Storage_violation
-                { pc; reg = d; value = iv; roundtrip = back; bits = p.bits });
-         E.P_int back
-       | Some _ -> v
-       | None ->
-         if Hashtbl.mem res.Backend.spilled d.id then begin
-           let back = spill_roundtrip d iv in
-           if back <> iv then
-             fail
-               (Storage_violation
-                  { pc; reg = d; value = iv; roundtrip = back; bits = 32 });
-           E.P_int back
-         end
-         else v)
-    | E.P_float fv ->
-      (match Ind.lookup table d.id with
-       | Some p when p.is_float ->
-         let r0, r1 = Dp.store_float p fv in
-         E.P_float (Dp.load_float p ~r0 ~r1)
-       | _ -> E.P_float (F.quantize F.f32 fv))
+  let s = sim_checked ?context ~waves cfg ~trace ~alloc ~blocks_per_sm ~mode in
+  audit s;
+  let r =
+    try Multi.single ~check:true ~waves cfg ~trace ~alloc ~demand ~mode
+    with Sim.Invariant_violation msg -> fail (Sim_violation (violates msg))
   in
-  let run config data =
-    let bindings = E.bindings_for kernel ~data ~shared:case.shared () in
-    ignore
-      (E.run kernel ~launch:case.launch ~params:case.params ~bindings config)
-  in
-  let ref_data = case.data () in
-  run
-    {
-      E.default_config with
-      quantize = Some ref_quantize;
-      on_write = Some (interval_check rt);
-      max_steps = Some max_steps;
-    }
-    ref_data;
-  let packed_data = case.data () in
-  run
-    { E.default_config with on_write = Some on_write; max_steps = Some max_steps }
-    packed_data;
-  compare_outputs Exact ref_data packed_data
+  if Stdlib.compare s r <> 0 then
+    fail (Sim_violation (diverges s.Sim.cycles r.Sim.cycles));
+  s
 
 let check_sim_backend ?(max_steps = 2_000_000) (b : Backend.t)
     (case : Gen.case) =
   guard @@ fun () ->
   let module S = (val b : Backend.Scheme) in
   let kernel = case.kernel in
-  let data = case.data () in
-  let bindings = E.bindings_for kernel ~data ~shared:case.shared () in
-  let trace =
-    match
-      E.run kernel ~launch:case.launch ~params:case.params ~bindings
-        {
-          E.default_config with
-          collect_trace = true;
-          max_steps = Some max_steps;
-        }
-    with
-    | Some t -> t
-    | None -> fail (Exec_failure "trace collection returned no trace")
-  in
+  let trace = trace_exn ~max_steps case in
   let wt = Width.analyze kernel ~launch:case.launch in
   let res = S.analyze ~kernel ~width:wt ~precision:None in
-  let cfg = Gpr_arch.Config.fermi_gtx480 in
-  let warps = trace.Gpr_exec.Trace.warps_per_block in
-  let shared_bytes =
-    4 * List.fold_left (fun acc (_, n) -> acc + n) 0 case.shared
-  in
   let alloc_base = Alloc.baseline kernel in
-  let occ_base =
-    (Gpr_arch.Occupancy.compute cfg
-       ~regs_per_thread:(max 1 alloc_base.Alloc.pressure)
-       ~warps_per_block:warps
-       ~shared_bytes_per_block:shared_bytes)
-      .Gpr_arch.Occupancy.blocks_per_sm
-  in
+  let occ_base = register_occupancy case trace alloc_base in
   let occ_s =
-    (Backend.occupancy cfg res ~warps_per_block:warps
-       ~shared_bytes_per_block:shared_bytes)
-      .Gpr_arch.Occupancy.blocks_per_sm
+    (Backend.occupancy cfg res
+       ~warps_per_block:trace.Gpr_exec.Trace.warps_per_block
+       ~shared_bytes_per_block:(shared_bytes case))
+      .Occ.blocks_per_sm
   in
   (* A register-only scheme can never lose occupancy to the baseline;
      a spilling scheme may (its slots consume shared memory), so the
@@ -594,67 +542,34 @@ let check_sim_backend ?(max_steps = 2_000_000) (b : Backend.t)
       (Sim_violation
          (Printf.sprintf "%s occupancy %d blocks/SM below baseline %d" S.id
             occ_s occ_base));
-  let run alloc blocks_per_sm mode =
-    try
-      ignore
-        (Gpr_sim.Sim.run ~check:true ~waves:2 cfg ~trace ~alloc ~blocks_per_sm
-           ~mode)
-    with Gpr_sim.Sim.Invariant_violation msg -> fail (Sim_violation msg)
-  in
-  run alloc_base occ_base Gpr_sim.Sim.Baseline;
-  run res.Backend.alloc occ_s (Backend.sim_mode b res)
+  ignore
+    (sim_checked cfg ~trace ~alloc:alloc_base ~blocks_per_sm:occ_base
+       ~mode:Sim.Baseline);
+  ignore
+    (sim_checked cfg ~trace ~alloc:res.Backend.alloc ~blocks_per_sm:occ_s
+       ~mode:(Backend.sim_mode b res))
 
 let check_sim ?(max_steps = 2_000_000) (case : Gen.case) =
   guard @@ fun () ->
   let kernel = case.kernel in
-  let data = case.data () in
-  let bindings = E.bindings_for kernel ~data ~shared:case.shared () in
-  let trace =
-    match
-      E.run kernel ~launch:case.launch ~params:case.params ~bindings
-        {
-          E.default_config with
-          collect_trace = true;
-          max_steps = Some max_steps;
-        }
-    with
-    | Some t -> t
-    | None -> fail (Exec_failure "trace collection returned no trace")
-  in
+  let trace = trace_exn ~max_steps case in
   let wt = Width.analyze kernel ~launch:case.launch in
-  let width_of (r : vreg) =
-    match r.ty with
-    | Pred | F32 -> 32
-    | S32 | U32 -> Width.var_bitwidth wt r.id
-  in
   let alloc_base = Alloc.baseline kernel in
-  let alloc_comp = Alloc.run kernel ~width_of in
-  let cfg = Gpr_arch.Config.fermi_gtx480 in
-  let shared_bytes =
-    4 * List.fold_left (fun acc (_, n) -> acc + n) 0 case.shared
-  in
-  let occ (a : Alloc.t) =
-    (Gpr_arch.Occupancy.compute cfg ~regs_per_thread:(max 1 a.pressure)
-       ~warps_per_block:trace.Gpr_exec.Trace.warps_per_block
-       ~shared_bytes_per_block:shared_bytes)
-      .Gpr_arch.Occupancy.blocks_per_sm
-  in
-  let occ_base = occ alloc_base and occ_comp = occ alloc_comp in
+  let alloc_comp = Alloc.run kernel ~width_of:(int_widths wt) in
+  let occ_base = register_occupancy case trace alloc_base
+  and occ_comp = register_occupancy case trace alloc_comp in
   if occ_comp < occ_base then
     fail
       (Sim_violation
          (Printf.sprintf
             "compressed occupancy %d blocks/SM below baseline %d" occ_comp
             occ_base));
-  let run alloc blocks_per_sm mode =
-    try
-      ignore
-        (Gpr_sim.Sim.run ~check:true ~waves:2 cfg ~trace ~alloc ~blocks_per_sm
-           ~mode)
-    with Gpr_sim.Sim.Invariant_violation msg -> fail (Sim_violation msg)
-  in
-  run alloc_base occ_base Gpr_sim.Sim.Baseline;
-  run alloc_comp occ_comp (Gpr_sim.Sim.Proposed { writeback_delay = 3 })
+  ignore
+    (sim_checked cfg ~trace ~alloc:alloc_base ~blocks_per_sm:occ_base
+       ~mode:Sim.Baseline);
+  ignore
+    (sim_checked cfg ~trace ~alloc:alloc_comp ~blocks_per_sm:occ_comp
+       ~mode:(Sim.Proposed { writeback_delay = 3 }))
 
 (* Observability oracle: the simulator's internal slot accounting is
    audited by [~check:true], but the *reported* stats record could
@@ -670,34 +585,17 @@ let check_sim ?(max_steps = 2_000_000) (case : Gen.case) =
 let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
   guard @@ fun () ->
   let kernel = case.kernel in
-  let data = case.data () in
-  let bindings = E.bindings_for kernel ~data ~shared:case.shared () in
-  let trace =
-    match
-      E.run kernel ~launch:case.launch ~params:case.params ~bindings
-        {
-          E.default_config with
-          collect_trace = true;
-          max_steps = Some max_steps;
-        }
-    with
-    | Some t -> t
-    | None -> fail (Exec_failure "trace collection returned no trace")
-  in
+  let trace = trace_exn ~max_steps case in
   let wt = Width.analyze kernel ~launch:case.launch in
-  let cfg = Gpr_arch.Config.fermi_gtx480 in
   let wpb = trace.Gpr_exec.Trace.warps_per_block in
-  let shared_bytes =
-    4 * List.fold_left (fun acc (_, n) -> acc + n) 0 case.shared
-  in
   let demand_of regs spill_bytes =
     {
-      Gpr_arch.Occupancy.d_regs_per_thread = max 1 regs;
-      d_shared_bytes_per_block = shared_bytes + (spill_bytes * 32 * wpb);
+      Occ.d_regs_per_thread = max 1 regs;
+      d_shared_bytes_per_block = shared_bytes case + (spill_bytes * 32 * wpb);
     }
   in
-  let audit label (s : Gpr_sim.Sim.stats) =
-    let bd = Gpr_sim.Sim.breakdown s in
+  let audit label (s : Sim.stats) =
+    let bd = Sim.breakdown s in
     let slots = Gpr_obs.Stall.total_slots bd in
     let expected = s.cycles * cfg.warp_schedulers in
     if slots <> expected then
@@ -714,51 +612,23 @@ let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
               label s.issued_slots s.warp_instructions))
   in
   let run ?(cfg = cfg) ?(waves = 2) label alloc demand mode =
-    let blocks_per_sm =
-      (Gpr_arch.Occupancy.of_demand cfg demand ~warps_per_block:wpb)
-        .Gpr_arch.Occupancy.blocks_per_sm
-    in
-    let s =
-      match
-        Gpr_sim.Sim.run ~check:true ~waves cfg ~trace ~alloc ~blocks_per_sm
-          ~mode
-      with
-      | s -> s
-      | exception Gpr_sim.Sim.Invariant_violation msg ->
-        fail (Sim_violation msg)
-    in
-    audit label s;
-    let r =
-      match
-        Gpr_sim.Sim_multi.single ~check:true ~waves cfg ~trace ~alloc ~demand
-          ~mode
-      with
-      | r -> r
-      | exception Gpr_sim.Sim.Invariant_violation msg ->
-        fail
-          (Sim_violation
-             (Printf.sprintf "%s: only the reference engine violates: %s"
-                label msg))
-    in
-    if Stdlib.compare s r <> 0 then
-      fail
-        (Sim_violation
+    ignore
+      (sim_pinned ~audit:(audit label)
+         ~violates:
+           (Printf.sprintf "%s: only the reference engine violates: %s" label)
+         ~diverges:
            (Printf.sprintf
               "%s: fast engine diverges from the reference engine (%d vs %d \
                cycles)"
-              label s.Gpr_sim.Sim.cycles r.Gpr_sim.Sim.cycles))
-  in
-  let width_of (r : vreg) =
-    match r.ty with
-    | Pred | F32 -> 32
-    | S32 | U32 -> Width.var_bitwidth wt r.id
+              label)
+         ~waves cfg ~trace ~alloc ~demand ~mode)
   in
   let alloc_base = Alloc.baseline kernel in
-  let alloc_comp = Alloc.run kernel ~width_of in
+  let alloc_comp = Alloc.run kernel ~width_of:(int_widths wt) in
   run "baseline" alloc_base (demand_of alloc_base.Alloc.pressure 0)
-    Gpr_sim.Sim.Baseline;
+    Sim.Baseline;
   run "proposed" alloc_comp (demand_of alloc_comp.Alloc.pressure 0)
-    (Gpr_sim.Sim.Proposed { writeback_delay = 3 });
+    (Sim.Proposed { writeback_delay = 3 });
   (* The spill scheme exercises the spill-port cause. *)
   let module Sp = Gpr_backend.Backend_spill in
   let res = Sp.analyze ~kernel ~width:wt ~precision:None in
@@ -787,17 +657,15 @@ let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
   let one_block =
     {
       (demand_of res.Backend.alloc.Alloc.pressure 0) with
-      Gpr_arch.Occupancy.d_shared_bytes_per_block = cfg.shared_mem_bytes;
+      Occ.d_shared_bytes_per_block = cfg.shared_mem_bytes;
     }
   in
-  let occ =
-    Gpr_arch.Occupancy.of_demand stretched one_block ~warps_per_block:wpb
-  in
-  if occ.Gpr_arch.Occupancy.blocks_per_sm <> 1 then
+  let occ = Occ.of_demand stretched one_block ~warps_per_block:wpb in
+  if occ.Occ.blocks_per_sm <> 1 then
     fail
       (Sim_violation
          (Printf.sprintf "ffwd-heavy: demand admits %d blocks, not 1"
-            occ.Gpr_arch.Occupancy.blocks_per_sm));
+            occ.Occ.blocks_per_sm));
   run ~cfg:stretched ~waves:1 "ffwd-heavy" res.Backend.alloc one_block
     (Backend.sim_mode (module Sp) res)
 
@@ -807,31 +675,16 @@ let check_obs ?(max_steps = 2_000_000) (case : Gen.case) =
 let check_coloc ?(max_steps = 2_000_000) (b : Backend.t) (case : Gen.case) =
   guard @@ fun () ->
   let module S = (val b : Backend.Scheme) in
-  let module Multi = Gpr_sim.Sim_multi in
-  let cfg = Gpr_arch.Config.fermi_gtx480 in
-  let trace_of (c : Gen.case) =
-    let data = c.Gen.data () in
-    let bindings = E.bindings_for c.Gen.kernel ~data ~shared:c.Gen.shared () in
-    E.run c.Gen.kernel ~launch:c.Gen.launch ~params:c.Gen.params ~bindings
-      {
-        E.default_config with
-        collect_trace = true;
-        max_steps = Some max_steps;
-      }
-  in
   (* A tenant at the scheme's demand, budgeted for two waves of its
      isolated occupancy — the same workload its isolated reference run
      replays. *)
   let tenant_of label (c : Gen.case) trace =
-    let wt = Width.analyze c.Gen.kernel ~launch:c.Gen.launch in
-    let res = S.analyze ~kernel:c.Gen.kernel ~width:wt ~precision:None in
-    let wpb = trace.Gpr_exec.Trace.warps_per_block in
-    let shared_bytes =
-      4 * List.fold_left (fun acc (_, n) -> acc + n) 0 c.Gen.shared
-    in
+    let wt = Width.analyze c.kernel ~launch:c.launch in
+    let res = S.analyze ~kernel:c.kernel ~width:wt ~precision:None in
     let demand =
-      Backend.demand cfg res ~warps_per_block:wpb
-        ~shared_bytes_per_block:shared_bytes
+      Backend.demand cfg res
+        ~warps_per_block:trace.Gpr_exec.Trace.warps_per_block
+        ~shared_bytes_per_block:(shared_bytes c)
     in
     Multi.make_tenant ~waves:2 cfg ~label ~trace ~alloc:res.Backend.alloc
       ~demand ~mode:(Backend.sim_mode b res)
@@ -842,101 +695,71 @@ let check_coloc ?(max_steps = 2_000_000) (b : Backend.t) (case : Gen.case) =
   let isolated
       { Multi.t_label = label; t_trace = trace; t_alloc = alloc;
         t_mode = mode; t_demand = demand; _ } =
-    let blocks_per_sm =
-      (Gpr_arch.Occupancy.of_demand cfg demand
-         ~warps_per_block:trace.Gpr_exec.Trace.warps_per_block)
-        .Gpr_arch.Occupancy.blocks_per_sm
-    in
-    let s =
-      match
-        Gpr_sim.Sim.run ~check:true ~waves:2 cfg ~trace ~alloc ~blocks_per_sm
-          ~mode
-      with
-      | s -> s
-      | exception Gpr_sim.Sim.Invariant_violation msg ->
-        fail (Sim_violation (label ^ ": " ^ msg))
-    in
-    let m =
-      match
-        Multi.single ~check:true ~waves:2 cfg ~trace ~alloc ~demand ~mode
-      with
-      | m -> m
-      | exception Gpr_sim.Sim.Invariant_violation msg ->
-        fail (Sim_violation (label ^ " (singleton run_multi): " ^ msg))
-    in
-    if Stdlib.compare s m <> 0 then
-      fail
-        (Sim_violation
-           (Printf.sprintf
-              "%s: singleton run_multi diverges from Sim.run (%d vs %d \
-               cycles)"
-              label s.Gpr_sim.Sim.cycles m.Gpr_sim.Sim.cycles));
-    s
+    sim_pinned
+      ~context:(fun msg -> label ^ ": " ^ msg)
+      ~violates:(fun msg -> label ^ " (singleton run_multi): " ^ msg)
+      ~diverges:
+        (Printf.sprintf
+           "%s: singleton run_multi diverges from Sim.run (%d vs %d cycles)"
+           label)
+      ~waves:2 cfg ~trace ~alloc ~demand ~mode
   in
-  match trace_of case with
-  | None -> fail (Exec_failure "trace collection returned no trace")
-  | Some trace ->
-    let t0 = tenant_of "k0" case trace in
-    let s0 = isolated t0 in
-    (* The co-tenant is generated from a seed derived from the case's,
-       so shrinking the case never perturbs its companion; a companion
-       that does not execute degrades to co-scheduling the case with
-       itself, which still exercises the multi-tenant dispatcher. *)
-    let companion = Gen.generate (case.Gen.seed lxor 0x2b992d) in
-    let t1 =
-      match trace_of companion with
-      | Some tr when Array.length tr.Gpr_exec.Trace.items > 0 ->
-        tenant_of "k1" companion tr
-      | Some _ | None | (exception _) -> tenant_of "k1" case trace
-    in
-    let s1 = isolated t1 in
-    List.iter
-      (fun policy ->
-        let module P = (val policy : Multi.POLICY) in
-        let r =
-          match Multi.run ~check:true ~policy cfg [ t0; t1 ] with
-          | r -> r
-          | exception Gpr_sim.Sim.Invariant_violation msg ->
-            fail (Sim_violation (Printf.sprintf "coloc/%s: %s" P.id msg))
-        in
-        (* Per-kernel replay identity: co-residency may change the
-           timing, never the retired instruction stream. *)
-        let expect label (iso : Gpr_sim.Sim.stats) (ts : Multi.tenant_stats)
-            =
-          if ts.Multi.ts_warp_instructions <> iso.Gpr_sim.Sim.warp_instructions
-          then
-            fail
-              (Sim_violation
-                 (Printf.sprintf
-                    "coloc/%s: %s issued %d warp instructions co-scheduled \
-                     but %d isolated"
-                    P.id label ts.Multi.ts_warp_instructions
-                    iso.Gpr_sim.Sim.warp_instructions));
-          if
-            ts.Multi.ts_thread_instructions
-            <> iso.Gpr_sim.Sim.thread_instructions
-          then
-            fail
-              (Sim_violation
-                 (Printf.sprintf
-                    "coloc/%s: %s executed %d thread instructions \
-                     co-scheduled but %d isolated"
-                    P.id label ts.Multi.ts_thread_instructions
-                    iso.Gpr_sim.Sim.thread_instructions))
-        in
-        expect "k0" s0 r.Multi.r_tenants.(0);
-        expect "k1" s1 r.Multi.r_tenants.(1);
-        (* Aggregate conservation over the kernel set. *)
-        if
-          r.Multi.r_stats.Gpr_sim.Sim.warp_instructions
-          <> s0.Gpr_sim.Sim.warp_instructions
-             + s1.Gpr_sim.Sim.warp_instructions
+  let trace = trace_exn ~max_steps case in
+  let t0 = tenant_of "k0" case trace in
+  let s0 = isolated t0 in
+  (* The co-tenant is generated from a seed derived from the case's,
+     so shrinking the case never perturbs its companion; a companion
+     that does not execute degrades to co-scheduling the case with
+     itself, which still exercises the multi-tenant dispatcher. *)
+  let companion = Gen.generate (case.seed lxor 0x2b992d) in
+  let t1 =
+    match trace_of ~max_steps companion with
+    | Some tr when Array.length tr.Gpr_exec.Trace.items > 0 ->
+      tenant_of "k1" companion tr
+    | Some _ | None | (exception _) -> tenant_of "k1" case trace
+  in
+  let s1 = isolated t1 in
+  List.iter
+    (fun policy ->
+      let module P = (val policy : Multi.POLICY) in
+      let r =
+        match Multi.run ~check:true ~policy cfg [ t0; t1 ] with
+        | r -> r
+        | exception Sim.Invariant_violation msg ->
+          fail (Sim_violation (Printf.sprintf "coloc/%s: %s" P.id msg))
+      in
+      (* Per-kernel replay identity: co-residency may change the
+         timing, never the retired instruction stream. *)
+      let expect label (iso : Sim.stats) (ts : Multi.tenant_stats) =
+        if ts.Multi.ts_warp_instructions <> iso.Sim.warp_instructions then
+          fail
+            (Sim_violation
+               (Printf.sprintf
+                  "coloc/%s: %s issued %d warp instructions co-scheduled \
+                   but %d isolated"
+                  P.id label ts.Multi.ts_warp_instructions
+                  iso.Sim.warp_instructions));
+        if ts.Multi.ts_thread_instructions <> iso.Sim.thread_instructions
         then
           fail
             (Sim_violation
                (Printf.sprintf
-                  "coloc/%s: aggregate warp instructions %d <> %d + %d"
-                  P.id r.Multi.r_stats.Gpr_sim.Sim.warp_instructions
-                  s0.Gpr_sim.Sim.warp_instructions
-                  s1.Gpr_sim.Sim.warp_instructions)))
-      Multi.policies
+                  "coloc/%s: %s executed %d thread instructions \
+                   co-scheduled but %d isolated"
+                  P.id label ts.Multi.ts_thread_instructions
+                  iso.Sim.thread_instructions))
+      in
+      expect "k0" s0 r.Multi.r_tenants.(0);
+      expect "k1" s1 r.Multi.r_tenants.(1);
+      (* Aggregate conservation over the kernel set. *)
+      if
+        r.Multi.r_stats.Sim.warp_instructions
+        <> s0.Sim.warp_instructions + s1.Sim.warp_instructions
+      then
+        fail
+          (Sim_violation
+             (Printf.sprintf
+                "coloc/%s: aggregate warp instructions %d <> %d + %d" P.id
+                r.Multi.r_stats.Sim.warp_instructions s0.Sim.warp_instructions
+                s1.Sim.warp_instructions)))
+    Multi.policies

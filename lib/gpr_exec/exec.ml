@@ -17,27 +17,94 @@ let default_config =
     on_monitor = None }
 
 (* ------------------------------------------------------------------ *)
-(* 32-bit semantics helpers *)
+(* 32-bit semantics.  The lane loops below, [Gpr_opt]'s constant folder
+   and the transfer-soundness tests all read this one definition.  It
+   lives in this compilation unit so the lane loops inline it: a call
+   into another module stays a call (and boxes a float result) when
+   the interface is compiled opaque. *)
 
-let[@inline] wrap_s32 x =
-  let y = x land 0xffff_ffff in
-  if y >= 0x8000_0000 then y - 0x1_0000_0000 else y
+module Sem = struct
+  let[@inline] wrap_s32 x =
+    let y = x land 0xffff_ffff in
+    if y >= 0x8000_0000 then y - 0x1_0000_0000 else y
 
-let[@inline] wrap_u32 x = x land 0xffff_ffff
+  let[@inline] wrap_u32 x = x land 0xffff_ffff
+  let[@inline] wrap u x = if u then wrap_u32 x else wrap_s32 x
+  let[@inline] f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
-let[@inline] f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+  let[@inline] ftoi x =
+    if Float.is_nan x then 0
+    else if x >= 2147483647.0 then 2147483647
+    else if x <= -2147483648.0 then -2147483648
+    else int_of_float (Float.trunc x)
 
-let[@inline] ftoi_trunc x =
-  if Float.is_nan x then 0
-  else if x >= 2147483647.0 then 2147483647
-  else if x <= -2147483648.0 then -2147483648
-  else int_of_float (Float.trunc x)
+  let[@inline] ftou x =
+    if Float.is_nan x then 0
+    else if x >= 4294967295.0 then 4294967295
+    else if x <= 0.0 then 0
+    else int_of_float (Float.trunc x)
 
-let[@inline] ftou_trunc x =
-  if Float.is_nan x then 0
-  else if x >= 4294967295.0 then 4294967295
-  else if x <= 0.0 then 0
-  else int_of_float (Float.trunc x)
+  let[@inline] ibin op u (x : int) y =
+    wrap u
+      (match op with
+       | Add -> x + y
+       | Sub -> x - y
+       | Mul -> x * y
+       | Div -> if y = 0 then 0 else x / y
+       | Rem -> if y = 0 then x else x mod y
+       | Min -> if x <= y then x else y
+       | Max -> if x >= y then x else y
+       | And -> x land y
+       | Or -> x lor y
+       | Xor -> x lxor y
+       | Shl -> x lsl (y land 31)
+       | Shr -> if u then wrap_u32 x lsr (y land 31) else x asr (y land 31))
+
+  let[@inline] iun op u x =
+    wrap u (match op with Ineg -> -x | Inot -> lnot x | Iabs -> abs x)
+
+  let[@inline] imad u x y z = wrap u ((x * y) + z)
+
+  let[@inline] fbin op x y =
+    f32
+      (match op with
+       | Fadd -> x +. y
+       | Fsub -> x -. y
+       | Fmul -> x *. y
+       | Fdiv -> x /. y
+       | Fmin -> Float.min x y
+       | Fmax -> Float.max x y)
+
+  let[@inline] fun_ op x =
+    f32
+      (match op with
+       | Fneg -> -.x
+       | Fabs -> Float.abs x
+       | Ffloor -> Float.floor x
+       | Fsqrt -> sqrt x
+       | Frsqrt -> 1.0 /. sqrt x
+       | Frcp -> 1.0 /. x
+       | Fsin -> sin x
+       | Fcos -> cos x
+       | Fex2 -> Float.exp2 x
+       | Flg2 -> Float.log2 x)
+
+  let[@inline] ffma x y z = f32 ((x *. y) +. z)
+
+  let[@inline] holds op c =
+    match op with
+    | Eq -> c = 0
+    | Ne -> c <> 0
+    | Lt -> c < 0
+    | Le -> c <= 0
+    | Gt -> c > 0
+    | Ge -> c >= 0
+
+  let[@inline] icmp op u x y =
+    holds op (if u then compare (wrap_u32 x) (wrap_u32 y) else compare (x : int) y)
+
+  let[@inline] fcmp op x y = holds op (compare (x : float) y)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Per-kernel memo tables *)
@@ -276,7 +343,7 @@ let decode kernel =
   let of_ = function
     | Reg r -> rd 1 r
     | Imm_f c ->
-      let v = f32 c in
+      let v = Sem.f32 c in
       intern 1 ftbl (Int64.bits_of_float v) v fconsts
     | Imm_i _ -> 0
   in
@@ -553,96 +620,61 @@ let[@inline] write_f st s i v =
 let int_bin st s w mask op u d a b =
   let ri = st.ri and o = w.ibase in
   for lane = 0 to 31 do
-    if mask land (1 lsl lane) <> 0 then begin
-      let x = ri.(o + a + lane) and y = ri.(o + b + lane) in
-      let v =
-        match op with
-        | Add -> x + y
-        | Sub -> x - y
-        | Mul -> x * y
-        | Div -> if y = 0 then 0 else x / y
-        | Rem -> if y = 0 then x else x mod y
-        | Min -> if x <= y then x else y
-        | Max -> if x >= y then x else y
-        | And -> x land y
-        | Or -> x lor y
-        | Xor -> x lxor y
-        | Shl -> x lsl (y land 31)
-        | Shr -> if u then wrap_u32 x lsr (y land 31) else x asr (y land 31)
-      in
-      write_i st s (o + d + lane) (if u then wrap_u32 v else wrap_s32 v)
-    end
+    if mask land (1 lsl lane) <> 0 then
+      write_i st s (o + d + lane) (Sem.ibin op u ri.(o + a + lane) ri.(o + b + lane))
   done
 
 let int_un st s w mask op u d a =
   let ri = st.ri and o = w.ibase in
   for lane = 0 to 31 do
-    if mask land (1 lsl lane) <> 0 then begin
-      let x = ri.(o + a + lane) in
-      let v = match op with Ineg -> -x | Inot -> lnot x | Iabs -> abs x in
-      write_i st s (o + d + lane) (if u then wrap_u32 v else wrap_s32 v)
-    end
+    if mask land (1 lsl lane) <> 0 then
+      write_i st s (o + d + lane) (Sem.iun op u ri.(o + a + lane))
   done
 
 let int_mad st s w mask u d a b c =
   let ri = st.ri and o = w.ibase in
   for lane = 0 to 31 do
-    if mask land (1 lsl lane) <> 0 then begin
-      let v = (ri.(o + a + lane) * ri.(o + b + lane)) + ri.(o + c + lane) in
-      write_i st s (o + d + lane) (if u then wrap_u32 v else wrap_s32 v)
-    end
+    if mask land (1 lsl lane) <> 0 then
+      write_i st s (o + d + lane)
+        (Sem.imad u ri.(o + a + lane) ri.(o + b + lane) ri.(o + c + lane))
   done
 
+(* One loop per operator: [Sem.fbin] applied to a constant operator
+   inlines to the bare arithmetic. *)
 let flt_bin st s w mask op d a b =
   let rf = st.rf and o = w.fbase in
   match op with
   | Fadd ->
     for lane = 0 to 31 do
       if mask land (1 lsl lane) <> 0 then
-        write_f st s (o + d + lane) (f32 (rf.(o + a + lane) +. rf.(o + b + lane)))
+        write_f st s (o + d + lane) (Sem.fbin Fadd rf.(o + a + lane) rf.(o + b + lane))
     done
   | Fsub ->
     for lane = 0 to 31 do
       if mask land (1 lsl lane) <> 0 then
-        write_f st s (o + d + lane) (f32 (rf.(o + a + lane) -. rf.(o + b + lane)))
+        write_f st s (o + d + lane) (Sem.fbin Fsub rf.(o + a + lane) rf.(o + b + lane))
     done
   | Fmul ->
     for lane = 0 to 31 do
       if mask land (1 lsl lane) <> 0 then
-        write_f st s (o + d + lane) (f32 (rf.(o + a + lane) *. rf.(o + b + lane)))
+        write_f st s (o + d + lane) (Sem.fbin Fmul rf.(o + a + lane) rf.(o + b + lane))
     done
   | Fdiv ->
     for lane = 0 to 31 do
       if mask land (1 lsl lane) <> 0 then
-        write_f st s (o + d + lane) (f32 (rf.(o + a + lane) /. rf.(o + b + lane)))
+        write_f st s (o + d + lane) (Sem.fbin Fdiv rf.(o + a + lane) rf.(o + b + lane))
     done
   | Fmin | Fmax ->
-    let f = if op = Fmin then Float.min else Float.max in
     for lane = 0 to 31 do
       if mask land (1 lsl lane) <> 0 then
-        write_f st s (o + d + lane) (f32 (f rf.(o + a + lane) rf.(o + b + lane)))
+        write_f st s (o + d + lane) (Sem.fbin op rf.(o + a + lane) rf.(o + b + lane))
     done
 
 let flt_un st s w mask op d a =
   let rf = st.rf and o = w.fbase in
   for lane = 0 to 31 do
-    if mask land (1 lsl lane) <> 0 then begin
-      let x = rf.(o + a + lane) in
-      let v =
-        match op with
-        | Fneg -> -.x
-        | Fabs -> Float.abs x
-        | Ffloor -> Float.floor x
-        | Fsqrt -> sqrt x
-        | Frsqrt -> 1.0 /. sqrt x
-        | Frcp -> 1.0 /. x
-        | Fsin -> sin x
-        | Fcos -> cos x
-        | Fex2 -> Float.exp2 x
-        | Flg2 -> Float.log2 x
-      in
-      write_f st s (o + d + lane) (f32 v)
-    end
+    if mask land (1 lsl lane) <> 0 then
+      write_f st s (o + d + lane) (Sem.fun_ op rf.(o + a + lane))
   done
 
 let flt_fma st s w mask d a b c =
@@ -650,35 +682,23 @@ let flt_fma st s w mask d a b c =
   for lane = 0 to 31 do
     if mask land (1 lsl lane) <> 0 then
       write_f st s (o + d + lane)
-        (f32 ((rf.(o + a + lane) *. rf.(o + b + lane)) +. rf.(o + c + lane)))
+        (Sem.ffma rf.(o + a + lane) rf.(o + b + lane) rf.(o + c + lane))
   done
-
-let[@inline] holds op c =
-  match op with
-  | Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
 
 let cmp_int st s w mask op u p a b =
   let ri = st.ri and o = w.ibase in
   for lane = 0 to 31 do
-    if mask land (1 lsl lane) <> 0 then begin
-      let x = ri.(o + a + lane) and y = ri.(o + b + lane) in
-      let c = if u then compare (wrap_u32 x) (wrap_u32 y) else compare x y in
-      write_i st s (o + p + lane) (if holds op c then 1 else 0)
-    end
+    if mask land (1 lsl lane) <> 0 then
+      write_i st s (o + p + lane)
+        (Bool.to_int (Sem.icmp op u ri.(o + a + lane) ri.(o + b + lane)))
   done
 
 let cmp_flt st s w mask op p a b =
   let rf = st.rf and o = w.fbase in
   for lane = 0 to 31 do
-    if mask land (1 lsl lane) <> 0 then begin
-      let c = compare (rf.(o + a + lane) : float) rf.(o + b + lane) in
-      write_i st s (w.ibase + p + lane) (if holds op c then 1 else 0)
-    end
+    if mask land (1 lsl lane) <> 0 then
+      write_i st s (w.ibase + p + lane)
+        (Bool.to_int (Sem.fcmp op rf.(o + a + lane) rf.(o + b + lane)))
   done
 
 let sel_int st s w mask d a b p =
@@ -715,7 +735,7 @@ let cvt_to_flt st s w mask u d a =
     if mask land (1 lsl lane) <> 0 then begin
       let x = st.ri.(w.ibase + a + lane) in
       write_f st s (w.fbase + d + lane)
-        (f32 (float_of_int (if u then wrap_u32 x else x)))
+        (Sem.f32 (float_of_int (if u then Sem.wrap_u32 x else x)))
     end
   done
 
@@ -724,7 +744,7 @@ let cvt_to_int st s w mask u d a =
     if mask land (1 lsl lane) <> 0 then begin
       let x = st.rf.(w.fbase + a + lane) in
       write_i st s (w.ibase + d + lane)
-        (if u then ftou_trunc x else wrap_s32 (ftoi_trunc x))
+        (if u then Sem.ftou x else Sem.ftoi x)
     end
   done
 
@@ -733,7 +753,7 @@ let cvt_int st s w mask u d a =
   for lane = 0 to 31 do
     if mask land (1 lsl lane) <> 0 then begin
       let x = ri.(o + a + lane) in
-      write_i st s (o + d + lane) (if u then wrap_u32 x else wrap_s32 x)
+      write_i st s (o + d + lane) (Sem.wrap u x)
     end
   done
 
@@ -744,7 +764,7 @@ let param st s w mask i kind d =
       if mask land (1 lsl lane) <> 0 then write_i st s (w.ibase + d + lane) v
     done
   | P_float v, Load_float ->
-    let v = f32 v in
+    let v = Sem.f32 v in
     for lane = 0 to 31 do
       if mask land (1 lsl lane) <> 0 then write_f st s (w.fbase + d + lane) v
     done

@@ -19,6 +19,40 @@
 
 open Gpr_isa.Types
 
+(** The concrete 32-bit semantics of mini-PTX arithmetic, the one
+    definition the executor runs, {!Gpr_opt} folds constants with and
+    the abstract domains' soundness tests compare against.  Integers
+    are OCaml ints holding the value at its dtype: [u = true] means
+    U32 (wrapped to [0, 2^32)), otherwise S32 (sign-wrapped).  Floats
+    are doubles holding an f32 value; every result is rounded to f32. *)
+module Sem : sig
+  val wrap_s32 : int -> int
+  val wrap_u32 : int -> int
+
+  val wrap : bool -> int -> int
+  (** [wrap u x]: [wrap_u32 x] when [u], else [wrap_s32 x]. *)
+
+  val f32 : float -> float
+  (** Round to the nearest f32. *)
+
+  val ftoi : float -> int
+  (** [cvt.rzi.s32.f32]: truncate toward zero, saturating; NaN → 0. *)
+
+  val ftou : float -> int
+  (** [cvt.rzi.u32.f32]: truncate toward zero, saturating; NaN → 0. *)
+
+  val ibin : ibinop -> bool -> int -> int -> int
+  (** Shift amounts are masked to 5 bits; [Div] by 0 is 0, [Rem] by 0
+      is the dividend. *)
+
+  val iun : iunop -> bool -> int -> int
+  val imad : bool -> int -> int -> int -> int
+  val fbin : fbinop -> float -> float -> float
+
+  val holds : cmpop -> int -> bool
+  (** [holds op c]: whether [op] holds of a [compare] result [c]. *)
+end
+
 type storage =
   | I_data of int array    (** S32/U32 elements *)
   | F_data of float array  (** F32 elements *)

@@ -3,6 +3,9 @@
 
 open Types
 
+val ibinop_name : ibinop -> string
+(** The PTX mnemonic of an integer binary operator, e.g. ["shr"]. *)
+
 val pp_vreg : Format.formatter -> vreg -> unit
 val pp_operand : Format.formatter -> operand -> unit
 val pp_instr : Format.formatter -> instr -> unit

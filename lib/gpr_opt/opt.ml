@@ -1,15 +1,8 @@
 open Gpr_isa.Types
+module Sem = Gpr_exec.Exec.Sem
 
 let instruction_count (k : kernel) =
   Array.fold_left (fun acc b -> acc + Array.length b.instrs) 0 k.k_blocks
-
-(* 32-bit semantics shared with the executor. *)
-let wrap_s32 x =
-  let y = x land 0xffff_ffff in
-  if y >= 0x8000_0000 then y - 0x1_0000_0000 else y
-
-let wrap_u32 x = x land 0xffff_ffff
-let f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
 let map_blocks k f =
   { k with
@@ -41,45 +34,12 @@ let def_counts k =
 (* ------------------------------------------------------------------ *)
 (* Constant folding + copy/constant propagation *)
 
+(* Folds evaluate through the executor's own semantics; a division by
+   a constant 0 is left to run time. *)
 let eval_ibin op ty a b =
-  let wrap = if ty = U32 then wrap_u32 else wrap_s32 in
-  let r =
-    match op with
-    | Add -> Some (a + b)
-    | Sub -> Some (a - b)
-    | Mul -> Some (a * b)
-    | Div -> if b = 0 then None else Some (a / b)
-    | Rem -> if b = 0 then None else Some (a mod b)
-    | Min -> Some (min a b)
-    | Max -> Some (max a b)
-    | And -> Some (a land b)
-    | Or -> Some (a lor b)
-    | Xor -> Some (a lxor b)
-    | Shl -> Some (a lsl (b land 31))
-    | Shr -> Some (if ty = U32 then wrap_u32 a lsr (b land 31) else a asr (b land 31))
-  in
-  Option.map wrap r
-
-let eval_fbin op a b =
-  let r =
-    match op with
-    | Fadd -> a +. b
-    | Fsub -> a -. b
-    | Fmul -> a *. b
-    | Fdiv -> a /. b
-    | Fmin -> Float.min a b
-    | Fmax -> Float.max a b
-  in
-  f32 r
-
-let eval_cmp op c =
   match op with
-  | Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
+  | (Div | Rem) when b = 0 -> None
+  | _ -> Some (Sem.ibin op (ty = U32) a b)
 
 let constant_fold k =
   let single = def_counts k in
@@ -135,34 +95,23 @@ let constant_fold k =
             end
           | None -> ())
        | Iun (op, d, Imm_i a) when is_single d ->
-         let wrap = if d.ty = U32 then wrap_u32 else wrap_s32 in
-         let v =
-           match op with Ineg -> -a | Inot -> lnot a | Iabs -> abs a
-         in
-         let v = wrap v in
+         let v = Sem.iun op (d.ty = U32) a in
          if Hashtbl.find_opt known d.id <> Some (Imm_i v) then begin
            Hashtbl.replace known d.id (Imm_i v);
            changed := true
          end
        | Imad (d, Imm_i a, Imm_i b, Imm_i c) when is_single d ->
-         let wrap = if d.ty = U32 then wrap_u32 else wrap_s32 in
-         let v = wrap ((a * b) + c) in
+         let v = Sem.imad (d.ty = U32) a b c in
          if Hashtbl.find_opt known d.id <> Some (Imm_i v) then begin
            Hashtbl.replace known d.id (Imm_i v);
            changed := true
          end
        | Fbin (op, d, Imm_f a, Imm_f b) when is_single d ->
-         let v = eval_fbin op (f32 a) (f32 b) in
+         let v = Sem.fbin op (Sem.f32 a) (Sem.f32 b) in
          if Hashtbl.find_opt known d.id <> Some (Imm_f v) then begin
            Hashtbl.replace known d.id (Imm_f v);
            changed := true
          end
-       | Setp (op, ty, p, Imm_i a, Imm_i b) when is_single p && ty <> F32 ->
-         let c =
-           if ty = U32 then compare (wrap_u32 a) (wrap_u32 b) else compare a b
-         in
-         ignore (eval_cmp op c);
-         ()  (* predicates have no immediate form; leave for selp folding *)
        | _ -> ());
       ins
     in

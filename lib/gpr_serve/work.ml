@@ -165,16 +165,7 @@ let cacheable = function
 
 (* ---------------- handlers ---------------- *)
 
-let buffer_len_of_workload (w : W.t) =
-  let data = w.W.data () in
-  fun name ->
-    match List.assoc_opt name w.W.shared with
-    | Some n -> Some n
-    | None -> (
-      match List.assoc_opt name data with
-      | Some (Gpr_exec.Exec.I_data a) -> Some (Array.length a)
-      | Some (Gpr_exec.Exec.F_data a) -> Some (Array.length a)
-      | None -> None)
+let buffer_len_of_workload = W.buffer_len
 
 let run_sleep ~check ms =
   let until = Unix.gettimeofday () +. (float_of_int ms /. 1000.0) in
@@ -273,7 +264,7 @@ let diags_payload kernel diags =
 
 let run_lint_registry ~check (w : W.t) =
   let diags =
-    Gpr_lint.Lint.lint ~buffer_len:(buffer_len_of_workload w) w.W.kernel
+    Gpr_lint.Lint.lint ~buffer_len:(W.buffer_len w) w.W.kernel
       ~launch:w.W.launch
   in
   check ();

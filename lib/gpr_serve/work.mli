@@ -57,5 +57,5 @@ val run : ?check:(unit -> unit) -> t -> Gpr_obs.Json.t
 
 val buffer_len_of_workload :
   Gpr_workloads.Workload.t -> string -> int option
-(** Buffer-length oracle handed to the linter — the same one the CLI's
-    [gpr lint] builds. *)
+(** {!Gpr_workloads.Workload.buffer_len}, under the name existing callers
+    use. *)

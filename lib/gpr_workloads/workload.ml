@@ -26,6 +26,17 @@ let warps_per_block t = (threads_per_block t.launch + 31) / 32
 let shared_bytes_per_block t =
   List.fold_left (fun acc (_, n) -> acc + (n * 4)) t.extra_shared_bytes t.shared
 
+let buffer_len t =
+  let data = t.data () in
+  fun name ->
+    match List.assoc_opt name t.shared with
+    | Some n -> Some n
+    | None -> (
+      match List.assoc_opt name data with
+      | Some (Exec.I_data a) -> Some (Array.length a)
+      | Some (Exec.F_data a) -> Some (Array.length a)
+      | None -> None)
+
 let output_name t =
   match t.output with
   | Out_floats n | Out_image (n, _, _) | Out_ints n -> n

@@ -32,6 +32,11 @@ type t = {
 val warps_per_block : t -> int
 val shared_bytes_per_block : t -> int
 
+val buffer_len : t -> string -> int option
+(** Element count of each bound buffer, by name (shared sizes, then
+    the input data, generated once per partial application): the
+    buffer-length oracle handed to {!Gpr_lint.Lint}. *)
+
 val reference : t -> float array
 (** Run at full precision and return the output buffer as floats
     (ints are converted) — the "original output" of Sec. 5.3. *)

@@ -386,62 +386,14 @@ let prop_ranges_sound =
 
 module KB = A.Knownbits
 module CG = A.Congruence
-
-let wrap_u32 x = x land 0xffff_ffff
-
-let wrap_s32 x =
-  let m = x land 0xffff_ffff in
-  if m >= 0x8000_0000 then m - 0x1_0000_0000 else m
-
-(* The executor's integer semantics (Exec.exec_instr, Ibin/Iun/Imad),
-   restated for operands already stored at dtype [ty]. *)
-let conc_binop ty op x y =
-  let wrap = if ty = U32 then wrap_u32 else wrap_s32 in
-  wrap
-    (match op with
-    | Add -> x + y
-    | Sub -> x - y
-    | Mul -> x * y
-    | Div -> if y = 0 then 0 else x / y
-    | Rem -> if y = 0 then x else x mod y
-    | Min -> min x y
-    | Max -> max x y
-    | And -> x land y
-    | Or -> x lor y
-    | Xor -> x lxor y
-    | Shl -> x lsl (y land 31)
-    | Shr -> if ty = U32 then wrap_u32 x lsr (y land 31) else x asr (y land 31))
-
-let conc_unop ty op x =
-  let wrap = if ty = U32 then wrap_u32 else wrap_s32 in
-  wrap (match op with Ineg -> -x | Inot -> lnot x | Iabs -> abs x)
-
-let conc_mad ty x y z =
-  let wrap = if ty = U32 then wrap_u32 else wrap_s32 in
-  wrap ((x * y) + z)
+module Sem = Gpr_exec.Exec.Sem
 
 let all_ibinops =
   [ Add; Sub; Mul; Div; Rem; Min; Max; And; Or; Xor; Shl; Shr ]
 
 let all_iunops = [ Ineg; Inot; Iabs ]
 
-let binop_name = function
-  | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div" | Rem -> "rem"
-  | Min -> "min" | Max -> "max" | And -> "and" | Or -> "or" | Xor -> "xor"
-  | Shl -> "shl" | Shr -> "shr"
-
-(* A random abstract value guaranteed to contain the concrete [x]. *)
-let kb_containing rng x =
-  let m = Gpr_util.Rng.int rng 0x1_0000_0000 in
-  KB.Kb { ones = x land lnot m land 0xffff_ffff; unk = m }
-
-let cg_containing rng x =
-  let k = Gpr_util.Rng.int rng 32 in
-  if k = 0 then CG.top
-  else CG.Cg { k; r = wrap_u32 x land ((1 lsl k) - 1) }
-
 let stored rng ty =
-  let wrap = if ty = U32 then wrap_u32 else wrap_s32 in
   (* bias toward small magnitudes so shifts/masks see realistic amounts *)
   let raw =
     match Gpr_util.Rng.int rng 3 with
@@ -449,79 +401,89 @@ let stored rng ty =
     | 1 -> Gpr_util.Rng.int rng 0x1_0000
     | _ -> Gpr_util.Rng.int rng 0x1_0000_0000 - 0x8000_0000
   in
-  wrap raw
+  Sem.wrap (ty = U32) raw
+
+(* An integer abstract domain's transfer functions, plus a way to draw
+   a random abstract value guaranteed to contain a concrete [x]. *)
+module type INT_DOMAIN = sig
+  type t
+
+  val tag : string
+  val binop : dtype -> ibinop -> t -> t -> t
+  val unop : dtype -> iunop -> t -> t
+  val mad : t -> t -> t -> t
+  val mem : int -> t -> bool
+  val to_string : t -> string
+  val containing : Gpr_util.Rng.t -> int -> t
+end
+
+(* Every transfer function must contain the executor's own result
+   ([Exec.Sem], the code the lane loops run) for operands drawn from
+   its inputs, so a change to the concrete semantics is checked too. *)
+module Transfer_sound (D : INT_DOMAIN) = struct
+  let prop ~name =
+    QCheck.Test.make ~name ~count:300 (QCheck.int_range 1 1_000_000)
+      (fun seed ->
+        let rng = Gpr_util.Rng.create seed in
+        let ty = if Gpr_util.Rng.int rng 2 = 0 then S32 else U32 in
+        let u = ty = U32 in
+        let x = stored rng ty and y = stored rng ty and z = stored rng ty in
+        let ax = D.containing rng x
+        and ay = D.containing rng y
+        and az = D.containing rng z in
+        List.iter
+          (fun op ->
+            let c = Sem.ibin op u x y in
+            let a = D.binop ty op ax ay in
+            if not (D.mem c a) then
+              QCheck.Test.fail_reportf
+                "%s %s %s: %d op %d = %d escapes %s (from %s, %s)" D.tag
+                (if u then "u32" else "s32")
+                (Pp.ibinop_name op) x y c (D.to_string a) (D.to_string ax)
+                (D.to_string ay))
+          all_ibinops;
+        List.iter
+          (fun op ->
+            let c = Sem.iun op u x in
+            let a = D.unop ty op ax in
+            if not (D.mem c a) then
+              QCheck.Test.fail_reportf "%s unop: %d -> %d escapes %s" D.tag x
+                c (D.to_string a))
+          all_iunops;
+        let c = Sem.imad u x y z in
+        let a = D.mad ax ay az in
+        if not (D.mem c a) then
+          QCheck.Test.fail_reportf "%s mad: %d,%d,%d -> %d escapes %s" D.tag x
+            y z c (D.to_string a);
+        true)
+end
+
+module KB_sound = Transfer_sound (struct
+  include KB
+
+  let tag = "kb"
+
+  let containing rng x =
+    let m = Gpr_util.Rng.int rng 0x1_0000_0000 in
+    KB.Kb { ones = x land lnot m land 0xffff_ffff; unk = m }
+end)
+
+module CG_sound = Transfer_sound (struct
+  include CG
+
+  let tag = "cg"
+
+  let containing rng x =
+    let k = Gpr_util.Rng.int rng 32 in
+    if k = 0 then CG.top
+    else CG.Cg { k; r = Sem.wrap_u32 x land ((1 lsl k) - 1) }
+end)
 
 let prop_knownbits_sound =
-  QCheck.Test.make ~name:"known-bits transfer sound vs concrete" ~count:300
-    (QCheck.int_range 1 1_000_000)
-    (fun seed ->
-      let rng = Gpr_util.Rng.create seed in
-      let ty = if Gpr_util.Rng.int rng 2 = 0 then S32 else U32 in
-      let x = stored rng ty and y = stored rng ty and z = stored rng ty in
-      let ax = kb_containing rng x
-      and ay = kb_containing rng y
-      and az = kb_containing rng z in
-      List.iter
-        (fun op ->
-          let c = conc_binop ty op x y in
-          let a = KB.binop ty op ax ay in
-          if not (KB.mem c a) then
-            QCheck.Test.fail_reportf
-              "kb %s %s: %d op %d = %d escapes %s (from %s, %s)"
-              (if ty = U32 then "u32" else "s32")
-              (binop_name op) x y c (KB.to_string a) (KB.to_string ax)
-              (KB.to_string ay))
-        all_ibinops;
-      List.iter
-        (fun op ->
-          let c = conc_unop ty op x in
-          let a = KB.unop ty op ax in
-          if not (KB.mem c a) then
-            QCheck.Test.fail_reportf "kb unop: %d -> %d escapes %s" x c
-              (KB.to_string a))
-        all_iunops;
-      let c = conc_mad ty x y z in
-      let a = KB.mad ax ay az in
-      if not (KB.mem c a) then
-        QCheck.Test.fail_reportf "kb mad: %d,%d,%d -> %d escapes %s" x y z c
-          (KB.to_string a);
-      true)
+  KB_sound.prop ~name:"known-bits transfer sound vs concrete"
 
 let prop_congruence_sound =
-  QCheck.Test.make ~name:"congruence transfer sound vs concrete" ~count:300
-    (QCheck.int_range 1 1_000_000)
-    (fun seed ->
-      let rng = Gpr_util.Rng.create seed in
-      let ty = if Gpr_util.Rng.int rng 2 = 0 then S32 else U32 in
-      let x = stored rng ty and y = stored rng ty and z = stored rng ty in
-      let ax = cg_containing rng x
-      and ay = cg_containing rng y
-      and az = cg_containing rng z in
-      List.iter
-        (fun op ->
-          let c = conc_binop ty op x y in
-          let a = CG.binop ty op ax ay in
-          if not (CG.mem c a) then
-            QCheck.Test.fail_reportf
-              "cg %s %s: %d op %d = %d escapes %s (from %s, %s)"
-              (if ty = U32 then "u32" else "s32")
-              (binop_name op) x y c (CG.to_string a) (CG.to_string ax)
-              (CG.to_string ay))
-        all_ibinops;
-      List.iter
-        (fun op ->
-          let c = conc_unop ty op x in
-          let a = CG.unop ty op ax in
-          if not (CG.mem c a) then
-            QCheck.Test.fail_reportf "cg unop: %d -> %d escapes %s" x c
-              (CG.to_string a))
-        all_iunops;
-      let c = conc_mad ty x y z in
-      let a = CG.mad ax ay az in
-      if not (CG.mem c a) then
-        QCheck.Test.fail_reportf "cg mad: %d,%d,%d -> %d escapes %s" x y z c
-          (CG.to_string a);
-      true)
+  CG_sound.prop ~name:"congruence transfer sound vs concrete"
 
 (* Dominance: on every registry kernel the product width never exceeds
    the interval width, for any variable. *)

@@ -118,6 +118,68 @@ let test_catches_bad_widths () =
   | exception Diff.Check_failed f ->
     Alcotest.fail ("wrong failure class: " ^ Diff.to_string f)
 
+(* Faulty register-file schemes: a healthy scheme whose resources are
+   corrupted after the fact, as a broken [analyze] would produce them.
+   The scheme-generic oracle must catch each. *)
+module Backend = Gpr_backend.Backend
+module Alloc = Gpr_alloc.Alloc
+
+let corrupt_scheme corrupt : Backend.t =
+  let module S = (val Gpr_backend.Registry.find_exn "slice" : Backend.Scheme)
+  in
+  (module struct
+    include S
+
+    let analyze ~kernel ~width ~precision =
+      corrupt kernel (S.analyze ~kernel ~width ~precision)
+  end)
+
+let with_placements (res : Backend.resources) f =
+  let placements = Hashtbl.copy res.Backend.alloc.Alloc.placements in
+  f placements;
+  { res with Backend.alloc = { res.Backend.alloc with Alloc.placements } }
+
+(* Forget the placement of the first live register: it is then neither
+   resident nor spilled. *)
+let drop_live_register kernel res =
+  let live = Gpr_analysis.Liveness.(intervals (compute kernel)) in
+  with_placements res (fun placements ->
+      match live with
+      | (v, _, _) :: _ -> Hashtbl.remove placements v
+      | [] -> ())
+
+(* Shrink every multi-slice integer placement to its lowest slice.  The
+   result is still structurally valid (4 bits in one slice, masks a
+   subset of disjoint ones), so only the storage round-trip can see
+   it. *)
+let over_narrow _kernel res =
+  let narrow (p : Alloc.placement) =
+    if p.is_float || p.slices <= 1 then p
+    else
+      { p with
+        mask0 = p.mask0 land (- p.mask0); reg1 = -1; mask1 = 0; slices = 1;
+        bits = 4 }
+  in
+  with_placements res (Hashtbl.filter_map_inplace (fun _ p -> Some (narrow p)))
+
+let expect_backend_failure what scheme ~is_expected =
+  let case = Gen.generate 3 in
+  match Diff.check_backend scheme case with
+  | () -> Alcotest.fail (what ^ " went undetected")
+  | exception Diff.Check_failed f when is_expected f -> ()
+  | exception Diff.Check_failed f ->
+    Alcotest.fail ("wrong failure class: " ^ Diff.to_string f)
+
+let test_backend_catches_dropped_register () =
+  expect_backend_failure "dropped live register"
+    (corrupt_scheme drop_live_register)
+    ~is_expected:(function Diff.Alloc_violation _ -> true | _ -> false)
+
+let test_backend_catches_over_narrow () =
+  expect_backend_failure "over-narrowed placement"
+    (corrupt_scheme over_narrow)
+    ~is_expected:(function Diff.Storage_violation _ -> true | _ -> false)
+
 let test_shrinks_counterexample () =
   let case = Gen.generate 3 in
   let still_fails kernel =
@@ -274,6 +336,10 @@ let () =
             test_clean_seeds_backend_stages;
           Alcotest.test_case "catches bad ranges" `Quick test_catches_bad_ranges;
           Alcotest.test_case "catches bad widths" `Quick test_catches_bad_widths;
+          Alcotest.test_case "backend catches dropped register" `Quick
+            test_backend_catches_dropped_register;
+          Alcotest.test_case "backend catches over-narrow placement" `Quick
+            test_backend_catches_over_narrow;
           Alcotest.test_case "step budget" `Quick test_exec_step_budget;
           Alcotest.test_case "step budget (pure-branch loop)" `Quick
             test_exec_branch_budget;

@@ -463,22 +463,12 @@ let test_clean_kernel () =
 (* ------------------------------------------------------------------ *)
 (* Registry gate: zero error-severity diagnostics on every workload. *)
 
-let workload_buffer_len (w : Gpr_workloads.Workload.t) =
-  let data = w.data () in
-  fun name ->
-    match List.assoc_opt name w.shared with
-    | Some n -> Some n
-    | None -> (
-      match List.assoc_opt name data with
-      | Some (E.I_data a) -> Some (Array.length a)
-      | Some (E.F_data a) -> Some (Array.length a)
-      | None -> None)
-
 let test_registry_no_errors () =
   List.iter
     (fun (w : Gpr_workloads.Workload.t) ->
       let ds =
-        L.lint ~buffer_len:(workload_buffer_len w) w.kernel ~launch:w.launch
+        L.lint ~buffer_len:(Gpr_workloads.Workload.buffer_len w) w.kernel
+          ~launch:w.launch
       in
       let errs = errors ds in
       Alcotest.(check int)
