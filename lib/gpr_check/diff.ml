@@ -240,12 +240,13 @@ let int_widths wt (r : vreg) =
    The reference run quantises each float definition exactly as its
    allocated storage will (placements may be wider than requested when
    an architectural name is shared, so the format comes from the
-   placement, not from the requested width), and validates every
-   integer write: against its interval, then [on_ref].  Forward
-   soundness is checked on the reference run, where the executed
-   values are the ones the static analysis abstracts; the packed run
-   may legitimately differ from them in bits no consumer demands
-   (demanded-width storage truncates dead high parts).
+   placement, not from the requested width): a per-pc format table for
+   the narrow placements, f32 rounding in the write hook for the rest.
+   It validates every integer write: against its interval, then
+   [on_ref].  Forward soundness is checked on the reference run, where
+   the executed values are the ones the static analysis abstracts; the
+   packed run may legitimately differ from them in bits no consumer
+   demands (demanded-width storage truncates dead high parts).
 
    The packed run round-trips every write through its storage: the
    indirection table and the TVT/TVE datapath for a placement, where
@@ -260,26 +261,25 @@ let packed_vs_plain ?(on_ref = fun _ _ _ _ -> ()) ~analyze ~pack ~max_steps
   check_alloc_static alloc;
   audit ();
   let table = Ind.create alloc in
-  let dsts = dst_of_pc kernel in
-  let ref_quantize pc v =
-    match Hashtbl.find_opt dsts pc with
-    | Some d ->
-      (match Ind.lookup table d.id with
-       | Some p when p.is_float -> F.quantize (Dp.format_of_placement p) v
-       | _ -> F.quantize F.f32 v)
-    | None -> F.quantize F.f32 v
-  in
+  let formats = Array.make (E.count_static_instrs kernel) F.f32 in
+  Hashtbl.iter
+    (fun pc (d : vreg) ->
+       match Ind.lookup table d.id with
+       | Some p when p.is_float -> formats.(pc) <- Dp.format_of_placement p
+       | _ -> ())
+    (dst_of_pc kernel);
   let on_ref_write pc (d : vreg) v =
-    (match v with
-     | E.P_int iv when d.ty = S32 || d.ty = U32 ->
-       (match Range.var_range rt d.id with
-        | I.Bot -> ()
-        | range ->
-          if not (I.contains range iv) then
-            fail (Range_violation { pc; reg = d; value = iv; range }));
-       on_ref wt pc d iv
-     | _ -> ());
-    v
+    match v with
+    | E.P_int iv when d.ty = S32 || d.ty = U32 ->
+      (match Range.var_range rt d.id with
+       | I.Bot -> ()
+       | range ->
+         if not (I.contains range iv) then
+           fail (Range_violation { pc; reg = d; value = iv; range }));
+      on_ref wt pc d iv;
+      v
+    | E.P_float fv when formats.(pc).F.total_bits = 32 -> E.P_float (F.quantize F.f32 fv)
+    | _ -> v
   in
   let on_write pc (d : vreg) v =
     match v with
@@ -322,7 +322,7 @@ let packed_vs_plain ?(on_ref = fun _ _ _ _ -> ()) ~analyze ~pack ~max_steps
   let ref_data =
     run
       { E.default_config with
-        quantize = Some ref_quantize; on_write = Some on_ref_write }
+        quantize = Some formats; on_write = Some on_ref_write }
   in
   let packed_data = run { E.default_config with on_write = Some on_write } in
   compare_outputs mode ref_data packed_data

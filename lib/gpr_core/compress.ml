@@ -36,16 +36,13 @@ let tuning_knobs sites =
   let budget = if n > 96 then 200 else 140 in
   (min_group, budget)
 
-let tune_threshold (w : Workload.t) ~reference ~width threshold =
+let tune_threshold (w : Workload.t) ~evaluate ~width threshold =
   let sites = Workload.float_sites w in
   let min_group, budget = tuning_knobs sites in
-  let evaluate ~quantize = Workload.evaluate w ~reference ~quantize in
   let assignment =
     P.tune ~min_group ~budget ~sites ~evaluate ~threshold ()
   in
-  let achieved_score =
-    Workload.evaluate w ~reference ~quantize:(P.quantizer assignment)
-  in
+  let achieved_score = evaluate ~quantize:(P.quantizer assignment) in
   let alloc_float_only =
     Alloc.run w.kernel
       ~width_of:(width_fn ~narrow_ints:false ~narrow_floats:(Some assignment) ~width)
@@ -95,8 +92,10 @@ let compute (w : Workload.t) =
     Alloc.run w.kernel
       ~width_of:(width_fn ~narrow_ints:true ~narrow_floats:None ~width)
   in
-  let perfect = tune_threshold w ~reference ~width Q.Perfect in
-  let high = tune_threshold w ~reference ~width Q.High in
+  (* One callback for both searches, so they share [P.tune]'s scores. *)
+  let evaluate ~quantize = Workload.evaluate w ~reference ~quantize in
+  let perfect = tune_threshold w ~evaluate ~width Q.Perfect in
+  let high = tune_threshold w ~evaluate ~width Q.High in
   { s_reference = reference; s_width = width; s_baseline = baseline;
     s_int_only = int_only; s_perfect = perfect; s_high = high }
 

@@ -5,7 +5,7 @@ type binding = Buf_data of storage | Buf_shared of int
 type pvalue = P_int of int | P_float of float
 
 type config = {
-  quantize : (int -> float -> float) option;
+  quantize : Gpr_fp.Format_.t array option;
   collect_trace : bool;
   on_write : (int -> vreg -> pvalue -> pvalue) option;
   max_steps : int option;
@@ -238,6 +238,7 @@ type site = {
   srcs : int list;      (** shared by every trace item of the site *)
   dst : int option;
   dst_float : bool;
+  fdst : int;  (** float-file offset of the register written, -1 = none *)
 }
 
 type term = T_br of int | T_cbr of int * int * int | T_ret
@@ -447,7 +448,11 @@ let decode kernel =
                   List.filter_map
                     (fun (r : vreg) -> if r.ty = Pred then None else Some r.id)
                     (uses ins);
-                dst; dst_float })
+                dst; dst_float;
+                fdst =
+                  (match def with
+                   | Some d when d.ty = F32 -> slot_of.(1).(d.id)
+                   | _ -> -1) })
            blk.instrs)
       kernel.k_blocks
   in
@@ -522,7 +527,7 @@ type state = {
   storage : storage array;  (* global bindings and this CTA's shared arrays *)
   addr_base : int array;    (* byte address base per buffer *)
   race : (int array * int array * int array) option array;
-  quantize : (int -> float -> float) option;
+  quantize : Gpr_fp.Format_.t array option;
   on_write : (int -> vreg -> pvalue -> pvalue) option;
   on_monitor : (Trace.monitor_event -> unit) option;
   check : bool;
@@ -586,8 +591,20 @@ let check_budget st =
       (Printf.sprintf "%s: step budget of %d thread instructions exceeded"
          st.kernel.k_name st.budget)
 
-(* Register writes.  The common, hook-free case stays inline so a float
-   result is stored unboxed; the hooks see boxed values. *)
+(* The format the float results of site [s] are stored in: 32 bits
+   without a [quantize] table or past its end. *)
+let[@inline] format_of st s =
+  match st.quantize with
+  | Some table when s.pc < Array.length table -> Array.unsafe_get table s.pc
+  | _ -> Gpr_fp.Format_.f32
+
+(* Register writes.  Without [on_write] a write is a bare store, so a
+   float result is stored unboxed, and [exec] rounds a narrowed warp
+   instruction's results afterwards, all lanes at once.  With
+   [on_write] each float is rounded before the hook sees it.  Rounding
+   happens in place in [rf]: no float crosses into [Format_] (the dev
+   profile compiles with [-opaque], where a float passed to another
+   unit is boxed).  Only the hooks see boxed values. *)
 let write_i_hooked st s i v =
   match st.on_write with
   | None -> st.ri.(i) <- v
@@ -599,19 +616,16 @@ let write_i_hooked st s i v =
 let[@inline] write_i st s i v =
   match st.on_write with None -> st.ri.(i) <- v | Some _ -> write_i_hooked st s i v
 
-let write_f_hooked st s i v =
-  let v = match st.quantize with None -> v | Some q -> q s.pc v in
-  match st.on_write with
-  | None -> st.rf.(i) <- v
-  | Some h ->
-    (match h s.pc s.def (P_float v) with
-     | P_float v' -> st.rf.(i) <- v'
-     | P_int _ -> failwith "Exec: on_write changed a float to an int")
+let write_f_hooked st s i h =
+  let f = format_of st s in
+  if f.Gpr_fp.Format_.total_bits < 32 then Gpr_fp.Format_.quantize_lanes f st.rf i 1;
+  match h s.pc s.def (P_float st.rf.(i)) with
+  | P_float v' -> st.rf.(i) <- v'
+  | P_int _ -> failwith "Exec: on_write changed a float to an int"
 
 let[@inline] write_f st s i v =
-  match st.quantize, st.on_write with
-  | None, None -> st.rf.(i) <- v
-  | _ -> write_f_hooked st s i v
+  st.rf.(i) <- v;
+  match st.on_write with None -> () | Some h -> write_f_hooked st s i h
 
 (* ------------------------------------------------------------------ *)
 (* Lane loops, one per op: operand reads, arithmetic, rounding and the
@@ -873,6 +887,13 @@ let rec exec_op st s w mask active op =
 let exec st s w mask =
   let active = Gpr_util.Bits.popcount mask in
   let mem = exec_op st s w mask active s.op in
+  (* A site defining a float writes every lane of [mask]. *)
+  (match st.on_write with
+   | None when s.fdst >= 0 ->
+     let f = format_of st s in
+     if f.Gpr_fp.Format_.total_bits < 32 then
+       Gpr_fp.Format_.quantize_lanes f st.rf (w.fbase + s.fdst) mask
+   | _ -> ());
   if st.collect then
     st.items <-
       { Trace.t_warp = w.wid; t_block_id = st.block_id; t_pc = s.pc;

@@ -64,14 +64,18 @@ type binding =
 type pvalue = P_int of int | P_float of float
 
 type config = {
-  quantize : (int -> float -> float) option;
-      (** [quantize pc v]: applied to every F32 value defined by the
-          static instruction [pc] — the hook the precision tuner uses to
-          simulate reduced-precision register storage *)
+  quantize : Gpr_fp.Format_.t array option;
+      (** Per-pc storage formats: a float written by the static
+          instruction [pc] is rounded with {!Gpr_fp.Format_.quantize}
+          to [table.(pc)], in place and unboxed — how the precision
+          tuner simulates reduced-precision register storage.  A [pc]
+          past the table's end, or an entry at 32 bits, leaves the
+          value untouched. *)
   collect_trace : bool;
   on_write : (int -> vreg -> pvalue -> pvalue) option;
       (** [on_write pc dst v]: intercepts every register write (integer
-          and float, after [quantize]) and may replace the stored value.
+          and float; a float after its [quantize] rounding) and may
+          replace the stored value.
           {!Gpr_check} uses it both to validate written values against
           the static analysis (raising on a violation) and to round-trip
           values through the packed register-file datapath.  Not applied
@@ -119,8 +123,8 @@ val run :
     @raise Failure on out-of-bounds accesses or binding mismatches. *)
 
 val static_pc : kernel -> block:int -> idx:int -> int
-(** The unique static instruction id used by traces and the quantise
-    hook. *)
+(** The unique static instruction id used by traces and the [quantize]
+    table. *)
 
 val float_def_sites : kernel -> (int * vreg) list
 (** All static instructions defining an F32 register, as

@@ -97,8 +97,9 @@ let decode t bits =
 (* [decode t (encode t x)] without the intermediate pattern: round the
    f32 mantissa in place (ties to even; a carry moves into the exponent
    field by itself), then flush or saturate on the narrow exponent range.
-   The precision tuner calls this on every float register write. *)
-let quantize t x =
+   The executor calls it, through [quantize_lanes], on every narrowed
+   float register write. *)
+let[@inline] quantize t x =
   let b = f32_bits x in
   if t.total_bits = 32 then f32_of_bits b
   else begin
@@ -116,6 +117,13 @@ let quantize t x =
       else f32_of_bits (sign lor r)
     end
   end
+
+(* In place, so no float crosses the module boundary: a caller in
+   another unit would box the argument and the result of [quantize]. *)
+let quantize_lanes t a base mask =
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then a.(base + lane) <- quantize t a.(base + lane)
+  done
 
 let is_nan_pattern t bits =
   let e = (bits lsr t.man_bits) land exp_all_ones t in

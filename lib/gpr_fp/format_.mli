@@ -43,6 +43,11 @@ val quantize : t -> float -> float
 (** [decode t (encode t x)] — the value the register file would return
     after a store/load round trip in this format. *)
 
+val quantize_lanes : t -> float array -> int -> int -> unit
+(** [quantize_lanes t a base mask] replaces [a.(base + lane)] by its
+    [quantize t] for every lane (0..31) set in [mask], without boxing a
+    float — the executor's entry point, once per warp instruction. *)
+
 val is_nan_pattern : t -> int -> bool
 val is_inf_pattern : t -> int -> bool
 

@@ -13,22 +13,38 @@ let no_reduction ~sites =
   List.iter (fun (pc, _) -> Hashtbl.replace formats pc F.f32) sites;
   { formats; sites; evaluations = 0 }
 
-(* The quantisation hook reads a pc-indexed format table, kept beside
-   the persisted [formats] Hashtbl: the executor calls it on every float
-   register write. *)
+(* The executor's pc-indexed format table, kept beside the persisted
+   [formats] Hashtbl. *)
 let by_pc formats =
   let n = Hashtbl.fold (fun pc _ acc -> max acc (pc + 1)) formats 0 in
   let table = Array.make n F.f32 in
   Hashtbl.iter (fun pc _ -> table.(pc) <- Hashtbl.find formats pc) formats;
   table
 
-let hook table pc v =
-  if pc < 0 || pc >= Array.length table then v
-  else
-    let f = Array.unsafe_get table pc in
-    if f.F.total_bits < 32 then F.quantize f v else v
+let quantizer t = by_pc t.formats
 
-let quantizer t = hook (by_pc t.formats)
+(* Scores are memoised on the canonical assignment, the string of
+   per-pc format widths (each Table 3 format has its own width), per
+   [evaluate] callback: the two searches of one kernel share their
+   callback, and the [High] search retraces the steps [Perfect]
+   already scored.  One slot per domain, keyed by the callback's
+   physical identity (an ephemeron, so it never keeps a callback
+   alive). *)
+type evaluate = quantize:F.t array -> Q.score
+
+let key table = String.init (Array.length table) (fun pc -> Char.chr table.(pc).F.total_bits)
+
+let memo_slot : (evaluate, (string, Q.score) Hashtbl.t) Ephemeron.K1.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let scores_of evaluate =
+  let slot = Domain.DLS.get memo_slot in
+  match Option.bind !slot (fun e -> Ephemeron.K1.query e evaluate) with
+  | Some scores -> scores
+  | None ->
+    let scores = Hashtbl.create 64 in
+    slot := Some (Ephemeron.K1.make evaluate scores);
+    scores
 
 let tune ?(min_group = 1) ?(budget = max_int) ~sites ~evaluate ~threshold () =
   let formats = Hashtbl.create 16 in
@@ -38,13 +54,22 @@ let tune ?(min_group = 1) ?(budget = max_int) ~sites ~evaluate ~threshold () =
     Hashtbl.replace formats pc f;
     table.(pc) <- f
   in
+  let scores = scores_of evaluate in
+  let score () =
+    let k = key table in
+    match Hashtbl.find_opt scores k with
+    | Some s -> s
+    | None ->
+      let s = evaluate ~quantize:table in
+      Hashtbl.replace scores k s;
+      s
+  in
   let evaluations = ref 0 in
   let out_of_budget () = !evaluations >= budget in
-  let current_ok quantize =
+  let current_ok () =
     incr evaluations;
-    Q.meets (evaluate ~quantize) threshold
+    Q.meets (score ()) threshold
   in
-  let hook = hook table in
   (* Tentatively narrow every site of [group] one step; keep on success. *)
   let try_step group =
     if out_of_budget () then false
@@ -61,7 +86,7 @@ let tune ?(min_group = 1) ?(budget = max_int) ~sites ~evaluate ~threshold () =
           group
       in
       if moved = [] then false
-      else if current_ok hook then true
+      else if current_ok () then true
       else begin
         List.iter (fun (pc, old) -> set pc old) moved;
         false

@@ -22,19 +22,30 @@ val no_reduction : sites:(int * vreg) list -> assignment
 (** Everything at 32 bits (the float-compression-off configurations of
     Fig. 9). *)
 
-val quantizer : assignment -> int -> float -> float
-(** The {!Gpr_exec.Exec.config} hook corresponding to an assignment. *)
+val quantizer : assignment -> Gpr_fp.Format_.t array
+(** The {!Gpr_exec.Exec.config} [quantize] table of an assignment:
+    entry [pc] is the format of site [pc] (32 bits for every other pc);
+    the table ends after the last site. *)
 
 val tune :
   ?min_group:int ->
   ?budget:int ->
   sites:(int * vreg) list ->
-  evaluate:(quantize:(int -> float -> float) -> Gpr_quality.Quality.score) ->
+  evaluate:(quantize:Gpr_fp.Format_.t array -> Gpr_quality.Quality.score) ->
   threshold:Gpr_quality.Quality.threshold ->
   unit ->
   assignment
-(** [evaluate] must run the kernel with the given quantisation hook and
-    score the output against the full-precision reference.
+(** [evaluate] must run the kernel with the given {!quantizer}-shaped
+    format table and score the output against the full-precision
+    reference; it must not keep the table, which the search goes on
+    mutating.
+
+    [evaluate] must be a pure function of the table: each distinct
+    assignment is scored once per [evaluate] callback (the last one
+    this domain used, by physical identity), so two searches of one
+    kernel that share a callback — both thresholds — share their
+    scores.  [evaluations] still counts every step the search takes,
+    scored or remembered.
 
     [min_group] (default 1) stops bisection below that group size —
     coarser tuning with far fewer kernel runs, the knob the original

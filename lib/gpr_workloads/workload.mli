@@ -41,15 +41,18 @@ val reference : t -> float array
 (** Run at full precision and return the output buffer as floats
     (ints are converted) — the "original output" of Sec. 5.3. *)
 
-val run_quantized : t -> quantize:(int -> float -> float) -> float array
-(** Re-run on the same inputs under a register-quantisation hook. *)
+val run_quantized : t -> quantize:Gpr_fp.Format_.t array -> float array
+(** Re-run on the same inputs with float registers stored in per-pc
+    formats (an {!Gpr_exec.Exec.config} [quantize] table). *)
 
 val score : t -> out:float array -> reference:float array -> Gpr_quality.Quality.score
 
-val evaluate : t -> reference:float array -> quantize:(int -> float -> float) -> Gpr_quality.Quality.score
+val evaluate :
+  t -> reference:float array -> quantize:Gpr_fp.Format_.t array ->
+  Gpr_quality.Quality.score
 
 val trace :
-  t -> quantize:(int -> float -> float) option -> Gpr_exec.Trace.t
+  t -> quantize:Gpr_fp.Format_.t array option -> Gpr_exec.Trace.t
 (** Execute with trace collection for the timing simulator. *)
 
 val float_sites : t -> (int * vreg) list

@@ -144,6 +144,70 @@ let test_compress_store_roundtrip () =
        Alcotest.(check (float 0.0)) "same reference" cold.C.reference.(0)
          warm.C.reference.(0))
 
+(* One score per distinct assignment.  A cold analysis runs the kernel
+   for the reference, once per distinct assignment its two searches
+   step through (Hotspot: 52 of its 64 evaluations, DWT2D: 124 of 135;
+   the rest repeat an assignment already scored, mostly [High]
+   retracing [Perfect]) and once per threshold for the achieved score.
+   The stored record is the one the memo-free tuner wrote, and
+   [evaluations] still counts every step. *)
+
+module Alloc = Gpr_alloc.Alloc
+
+(* The layout of Compress's on-disk record (kind "analyze"). *)
+type stored = {
+  s_reference : float array;
+  s_width : Gpr_analysis.Width.t;
+  s_baseline : Alloc.t;
+  s_int_only : Alloc.t;
+  s_perfect : C.per_threshold;
+  s_high : C.per_threshold;
+}
+
+(* kernel, evaluations (Perfect, High), kernel runs, record digest as
+   stored before scores were memoised (67 and 138 runs then) *)
+let one_score_pins = [
+  ("Hotspot", (38, 26), 55, "8881706a38724af710e9959b2f299dae");
+  ("DWT2D", (69, 66), 127, "964f379c46ab917d1e85bf4e5dcb9675");
+]
+
+let test_one_score_per_assignment (name, evaluations, kernel_runs, record) () =
+  let w = Option.get (Gpr_workloads.Registry.by_name name) in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gpr-core-memo-%d" (Unix.getpid ()))
+  in
+  let store = Gpr_engine.Store.create ~dir () in
+  let runs = Gpr_obs.Metrics.counter "exec.runs" in
+  let was_enabled = Gpr_obs.Metrics.enabled () in
+  Gpr_obs.Metrics.set_enabled true;
+  C.clear_cache ();
+  C.set_store (Some store);
+  let c, cold_runs =
+    Fun.protect
+      ~finally:(fun () ->
+          C.set_store None;
+          C.clear_cache ();
+          Gpr_obs.Metrics.set_enabled was_enabled)
+      (fun () ->
+         let r0 = Gpr_obs.Metrics.value runs in
+         let c = C.analyze w in
+         (c, Gpr_obs.Metrics.value runs - r0))
+  in
+  let written : stored option =
+    Gpr_engine.Store.find store ~kind:"analyze" ~key:c.C.fingerprint
+  in
+  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+  let evals (pt : C.per_threshold) =
+    pt.C.assignment.Gpr_precision.Precision.evaluations
+  in
+  Alcotest.(check (pair int int)) "evaluations" evaluations
+    (evals c.C.perfect, evals c.C.high);
+  Alcotest.(check int) "kernel runs" kernel_runs cold_runs;
+  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
+  Alcotest.(check (option string)) "stored record" (Some record)
+    (Option.map digest written)
+
 (* ---------------------------------------------------------------- *)
 (* Area model vs the paper's published constants (Sec. 6.4 / Sec. 7) *)
 
@@ -201,7 +265,12 @@ let () =
             test_compress_no_name_staleness;
           Alcotest.test_case "store roundtrip" `Quick
             test_compress_store_roundtrip;
-        ] );
+        ]
+        @ List.map
+            (fun ((name, _, _, _) as pin) ->
+               Alcotest.test_case ("one score " ^ name) `Slow
+                 (test_one_score_per_assignment pin))
+            one_score_pins );
       ( "simulate",
         [ Alcotest.test_case "consistency" `Slow test_simulate_consistency ] );
       ( "area",

@@ -1,6 +1,6 @@
 (* Functional-executor tests: arithmetic semantics vs reference
    implementations, SIMT divergence and reconvergence, barriers with
-   shared memory, traces, and the quantisation hook. *)
+   shared memory, traces, and the quantize table. *)
 
 open Gpr_isa
 open Gpr_isa.Types
@@ -196,32 +196,73 @@ let test_launch_2d () =
     done
   done
 
-let test_quantize_hook () =
-  (* The hook must apply per static site: quantise one instruction's
-     result to fp8 and check the output reflects it. *)
-  let b = Builder.create ~name:"qh" in
+(* The quantize table applies per static site: a narrow entry rounds
+   that site's results in place, a 32-bit entry or a pc past the
+   table's end leaves them untouched (not even rounded to f32), and
+   [on_write] sees the rounded value. *)
+let test_quantize_table () =
+  let module F = Gpr_fp.Format_ in
+  let b = Builder.create ~name:"qt" in
   let open Builder in
+  let x = global_buffer b F32 "x" in
   let out = global_buffer b F32 "out" in
+  let raw = global_buffer b F32 "raw" in
   let i = global_thread_id_x b in
-  let v = fadd b (cf 1.0) (cf 0.2345678) in
+  let y = ld b x ~$i in
+  let v = fadd b ~$y (cf 1.0) in
   st b out ~$i ~$v;
+  st b raw ~$i ~$y;
   let kernel = finish b in
-  let sites = E.float_def_sites kernel in
-  Alcotest.(check int) "one float site" 1 (List.length sites);
-  let pc, _ = List.hd sites in
-  let fp8 = Gpr_fp.Format_.of_level 6 in
-  let config =
-    { E.default_config with
-      quantize = Some (fun p v -> if p = pc then Gpr_fp.Format_.quantize fp8 v else v) }
+  let pc_ld, pc_add =
+    match E.float_def_sites kernel with
+    | [ (a, _); (b, _) ] -> (a, b)
+    | _ -> Alcotest.fail "expected two float sites"
   in
-  let outd = Array.make 32 0.0 in
-  let _ =
-    run_kernel kernel ~launch:(launch_1d ~block:32 ~grid:1) ~params:[||]
-      ~data:[ ("out", E.F_data outd) ] ~config ()
+  (* Not representable in f32, so an f32 rounding would show; the sum
+     4/3 rounds to a different value in every format. *)
+  let x0 = 1.0 /. 3.0 in
+  let run ?on_write quantize =
+    let outd = Array.make 32 0.0 and rawd = Array.make 32 0.0 in
+    let config = { E.default_config with quantize; on_write } in
+    let _ =
+      run_kernel kernel ~launch:(launch_1d ~block:32 ~grid:1) ~params:[||]
+        ~data:[ ("x", E.F_data (Array.make 32 x0)); ("out", E.F_data outd);
+                ("raw", E.F_data rawd) ]
+        ~config ()
+    in
+    (outd.(0), rawd.(0))
   in
-  let expect = Gpr_fp.Format_.quantize fp8 1.2345678 in
-  Alcotest.(check (float 0.0)) "quantised result" expect outd.(0);
-  Alcotest.(check bool) "actually changed" true (outd.(0) <> 1.2345678)
+  let bits = Int64.bits_of_float in
+  let same what a b = Alcotest.(check int64) what (bits a) (bits b) in
+  let table pc f =
+    let t = Array.make (pc_add + 1) F.f32 in
+    t.(pc) <- f;
+    t
+  in
+  let out0, raw0 = run None in
+  same "plain load is the raw input" x0 raw0;
+  Alcotest.(check int) "seven distinct roundings" 7
+    (List.length (List.sort_uniq compare (List.map (fun f -> F.quantize f out0) F.all)));
+  List.iter
+    (fun f ->
+       let name = F.to_string f in
+       let out, raw = run (Some (table pc_add f)) in
+       same (name ^ ": 32-bit entry leaves the load") x0 raw;
+       same (name ^ ": add site") (if f = F.f32 then out0 else F.quantize f out0) out)
+    F.all;
+  let fp8 = F.of_level 6 in
+  let out, raw = run (Some (Array.sub (table pc_ld fp8) 0 pc_add)) in
+  same "narrow load" (F.quantize fp8 x0) raw;
+  let out', _ = run (Some (table pc_ld fp8)) in
+  same "pc past the end = 32-bit entry" out' out;
+  let seen = ref nan in
+  let on_write pc _ v =
+    (match v with E.P_float f when pc = pc_add -> seen := f | _ -> ());
+    v
+  in
+  let out, _ = run ~on_write (Some (table pc_add fp8)) in
+  same "on_write sees the rounded value" (F.quantize fp8 out0) !seen;
+  same "stored" !seen out
 
 let test_trace_contents () =
   let b = Builder.create ~name:"tr" in
@@ -450,7 +491,7 @@ let digest_trace (tr : T.t) =
   flush ();
   Digest.to_hex !chain
 
-let narrowed_quantizer (w : W.t) =
+let narrowed_table (w : W.t) =
   let sites = W.float_sites w in
   let formats = Hashtbl.create 16 in
   List.iter (fun (pc, _) -> Hashtbl.replace formats pc (Gpr_fp.Format_.of_level 2)) sites;
@@ -486,8 +527,27 @@ let test_pins (name, reference, narrowed, trace) () =
   let w = Option.get (Gpr_workloads.Registry.by_name name) in
   Alcotest.(check string) "reference output" reference (digest_floats (W.reference w));
   Alcotest.(check string) "narrowed output" narrowed
-    (digest_floats (W.run_quantized w ~quantize:(narrowed_quantizer w)));
+    (digest_floats (W.run_quantized w ~quantize:(narrowed_table w)));
   Alcotest.(check string) "trace" trace (digest_trace (W.trace w ~quantize:None))
+
+(* Allocation gate: under the pins' narrowed table a quantised run
+   allocates what the reference run does (inputs, output copy, run
+   state) plus a few words.  Narrowed floats are rounded in place, so a
+   float boxed per register write would show as millions of words. *)
+let test_quantized_allocation (name, _, _, _) () =
+  let w = Option.get (Gpr_workloads.Registry.by_name name) in
+  let table = narrowed_table w in
+  let words f =
+    ignore (f ());  (* decode and register files on the first run *)
+    let w0 = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. w0
+  in
+  let reference = words (fun () -> W.reference w) in
+  let quantized = words (fun () -> W.run_quantized w ~quantize:table) in
+  if quantized > reference +. 16.0 then
+    Alcotest.failf "%s: quantised run allocates %.0f minor words, reference %.0f"
+      name quantized reference
 
 (* ---------------------------------------------------------------- *)
 (* Errors stay run-time errors: an ill-typed immediate, a type mismatch
@@ -729,7 +789,7 @@ let () =
         [ Alcotest.test_case "block reversal" `Quick test_shared_memory_barrier ] );
       ( "hooks",
         [
-          Alcotest.test_case "quantize hook" `Quick test_quantize_hook;
+          Alcotest.test_case "quantize hook" `Quick test_quantize_table;
           Alcotest.test_case "trace contents" `Quick test_trace_contents;
           Alcotest.test_case "oob raises" `Quick test_out_of_bounds_raises;
         ] );
@@ -754,6 +814,11 @@ let () =
         List.map
           (fun ((name, _, _, _) as pin) ->
              Alcotest.test_case name `Quick (test_pins pin))
+          pins );
+      ( "alloc gate",
+        List.map
+          (fun ((name, _, _, _) as pin) ->
+             Alcotest.test_case name `Quick (test_quantized_allocation pin))
           pins );
       ("props", [ q prop_float_ops_match_reference ]);
     ]

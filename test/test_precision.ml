@@ -11,31 +11,15 @@ module Inputs = Gpr_workloads.Inputs
 let mk_sites n =
   List.init n (fun i -> (i, { id = 100 + i; ty = F32; name = "f" }))
 
-(* 4/3 has an infinite binary mantissa, so every Table 3 format rounds
-   it to a different value — the hook's output identifies the format. *)
-let probe = 4.0 /. 3.0
-
-let () =
-  (* Sanity: the probe distinguishes all seven formats. *)
-  let outs = List.map (fun f -> F.quantize f probe) F.all in
-  assert (List.length (List.sort_uniq compare outs) = 7)
-
-let detect_bits quantize pc =
-  let out = quantize pc probe in
-  let rec go l =
-    if l > 6 then 32
-    else if F.quantize (F.of_level l) probe = out then
-      (F.of_level l).F.total_bits
-    else go (l + 1)
-  in
-  go 0
+(* The format an evaluation stores site [pc] in: 32 bits past the
+   table's end. *)
+let bits_at table pc =
+  if pc < Array.length table then table.(pc).F.total_bits else 32
 
 (* Oracle: quality holds iff every site is at least [floor] bits wide. *)
 let oracle ~floors sites ~quantize =
   let ok =
-    List.for_all
-      (fun (pc, _) -> detect_bits quantize pc >= List.assoc pc floors)
-      sites
+    List.for_all (fun (pc, _) -> bits_at quantize pc >= List.assoc pc floors) sites
   in
   if ok then Q.S_deviation_pct 0.0 else Q.S_deviation_pct 100.0
 
@@ -99,10 +83,30 @@ let test_min_group_coarsens () =
     (Hashtbl.find asg.P.formats 3).F.total_bits
 
 let test_no_reduction_and_quantizer () =
-  let sites = mk_sites 3 in
+  (* An all-f32 table leaves every float register untouched: the
+     loaded 1/3 is not even rounded to f32. *)
+  let module E = Gpr_exec.Exec in
+  let open Gpr_isa in
+  let b = Builder.create ~name:"id" in
+  let open Builder in
+  let x = global_buffer b F32 "x" in
+  let i = global_thread_id_x b in
+  st b x ~$i ~$(ld b x ~$i);
+  let kernel = finish b in
+  let sites = E.float_def_sites kernel in
   let asg = P.no_reduction ~sites in
-  Alcotest.(check (float 0.0)) "identity hook" 1.2345678
-    (P.quantizer asg 0 1.2345678);
+  let table = P.quantizer asg in
+  Alcotest.(check int) "ends after the last site"
+    (1 + List.fold_left (fun m (pc, _) -> max m pc) 0 sites)
+    (Array.length table);
+  Alcotest.(check bool) "all f32" true (Array.for_all (fun f -> f = F.f32) table);
+  let xd = Array.make 32 (1.0 /. 3.0) in
+  ignore
+    (E.run kernel ~launch:(launch_1d ~block:32 ~grid:1) ~params:[||]
+       ~bindings:(E.bindings_for kernel ~data:[ ("x", E.F_data xd) ] ())
+       { E.default_config with quantize = Some table });
+  Alcotest.(check int64) "identity table" (Int64.bits_of_float (1.0 /. 3.0))
+    (Int64.bits_of_float xd.(0));
   Alcotest.(check (float 1e-9)) "mean 32" 32.0 (P.mean_bits asg)
 
 let test_var_bits_max_over_sites () =

@@ -166,7 +166,8 @@ let test_quantized_run_degrades_gracefully () =
   let r = W.reference w in
   let fp8 = Gpr_fp.Format_.of_level 6 in
   let out =
-    W.run_quantized w ~quantize:(fun _ v -> Gpr_fp.Format_.quantize fp8 v)
+    W.run_quantized w
+      ~quantize:(Array.make (Gpr_exec.Exec.count_static_instrs w.W.kernel) fp8)
   in
   match W.score w ~out ~reference:r with
   | Q.S_deviation_pct d ->
