@@ -30,19 +30,31 @@ module Sem = struct
 
   let[@inline] wrap_u32 x = x land 0xffff_ffff
   let[@inline] wrap u x = if u then wrap_u32 x else wrap_s32 x
-  let[@inline] f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
+  (* In the f32 normal range a Veltkamp split by 2^29 + 1 rounds to 24
+     significant bits, ties to even, without the two C calls of the bit
+     casts; zeros, denormals, inf, NaN and |x| >= 2^127 take the casts.
+     [Format_.quantize] uses the same split. *)
+  let[@inline] f32 x =
+    let a = Float.abs x in
+    if a >= 0x1p-126 && a < 0x1p127 then
+      let p = x *. 536870913.0 in
+      (x -. p) +. p
+    else Int32.float_of_bits (Int32.bits_of_float x)
+
+  (* [int_of_float] truncates toward zero, and the guards keep x inside
+     the int range. *)
   let[@inline] ftoi x =
     if Float.is_nan x then 0
     else if x >= 2147483647.0 then 2147483647
     else if x <= -2147483648.0 then -2147483648
-    else int_of_float (Float.trunc x)
+    else int_of_float x
 
   let[@inline] ftou x =
     if Float.is_nan x then 0
     else if x >= 4294967295.0 then 4294967295
     else if x <= 0.0 then 0
-    else int_of_float (Float.trunc x)
+    else int_of_float x
 
   let[@inline] ibin op u (x : int) y =
     wrap u

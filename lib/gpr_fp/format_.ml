@@ -97,9 +97,9 @@ let decode t bits =
 (* [decode t (encode t x)] without the intermediate pattern: round the
    f32 mantissa in place (ties to even; a carry moves into the exponent
    field by itself), then flush or saturate on the narrow exponent range.
-   The executor calls it, through [quantize_lanes], on every narrowed
-   float register write. *)
-let[@inline] quantize t x =
+   This is [quantize]'s path for zeros, f32 denormals, inf, NaN and
+   |x| >= 2^127, and the oracle its fast path is tested against. *)
+let[@inline] quantize_bits t x =
   let b = f32_bits x in
   if t.total_bits = 32 then f32_of_bits b
   else begin
@@ -117,6 +117,41 @@ let[@inline] quantize t x =
       else f32_of_bits (sign lor r)
     end
   end
+
+(* The fast path rounds with double arithmetic, because the bit casts
+   above are C calls (OCaml has no inline float-bits primitive) and
+   [Float.copy_sign]/[ldexp] are too.  Veltkamp's split
+   [p = x *. c; (x -. p) +. p] with [c = 2^(52 - m) + 1] rounds a
+   double to m+1 significant bits, ties to even, as long as [x *. c]
+   stays finite.  Rounding first to 24 bits and then to the format's
+   width is the bit-level code's double rounding.  The constants are
+   indexed by width, so [t] stays the three-int record the stored
+   records marshal. *)
+let[@inline] split c x =
+  let p = x *. c in
+  (x -. p) +. p
+
+let split_by_man = Array.init 24 (fun m -> ldexp 1.0 (52 - m) +. 1.0)
+
+(* Below [2^(1 - bias)] a value flushes to zero; at or above
+   [2^(bias + 1)] it saturates to infinity.  Indexed by [exp_bits]. *)
+let flush_by_exp =
+  Array.init 9 (fun e -> if e < 2 then 0.0 else ldexp 1.0 (2 - (1 lsl (e - 1))))
+let saturate_by_exp = Array.init 9 (fun e -> if e < 2 then 0.0 else ldexp 1.0 (1 lsl (e - 1)))
+
+let[@inline] quantize t x =
+  let a = Float.abs x in
+  if a >= 0x1p-126 && a < 0x1p127 then begin
+    (* 2^29 + 1 rounds to f32's 24 bits (a literal, not a boxed global);
+       on the f32 normal range the result stays normal *)
+    let q = split (Array.unsafe_get split_by_man t.man_bits) (split 536870913.0 x) in
+    let aq = Float.abs q in
+    if aq < Array.unsafe_get flush_by_exp t.exp_bits then (if x < 0.0 then -0.0 else 0.0)
+    else if aq >= Array.unsafe_get saturate_by_exp t.exp_bits then
+      (if x < 0.0 then neg_infinity else infinity)
+    else q
+  end
+  else quantize_bits t x
 
 (* In place, so no float crosses the module boundary: a caller in
    another unit would box the argument and the result of [quantize]. *)

@@ -22,9 +22,18 @@ let mask n =
   assert (n >= 0 && n <= 62);
   (1 lsl n) - 1
 
+(* SWAR on 32-bit values (a warp's active mask, once per instruction);
+   a bit loop for anything else. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
+  if x land 0xffff_ffff = x then begin
+    let x = x - ((x lsr 1) land 0x5555_5555) in
+    let x = (x land 0x3333_3333) + ((x lsr 2) land 0x3333_3333) in
+    let x = (x + (x lsr 4)) land 0x0f0f_0f0f in
+    ((x * 0x0101_0101) lsr 24) land 0xff
+  end
+  else
+    let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
+    go x 0
 
 let sign_extend ~width x =
   assert (width >= 1 && width <= 62);

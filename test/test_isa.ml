@@ -409,6 +409,198 @@ let prop_quantize_monotone_width =
        in
        nondecreasing errors)
 
+(* ---------------------------------------------------------------- *)
+(* Rounding exactness: [F.quantize] (through [quantize_lanes], the
+   executor's entry point, and as a scalar) and [Exec.Sem.f32] round
+   with double arithmetic on the f32 normal range; they must agree bit
+   for bit with the bit-level code.  GPR_FP_EXACT_ALL=1 enumerates all
+   2^32 f32 patterns for every format instead of the default binades
+   (CI runs it). *)
+
+module Sem = Gpr_exec.Exec.Sem
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let f32_ref x = Int32.float_of_bits (Int32.bits_of_float x)
+
+let fail_round what f x got want =
+  Alcotest.failf "%s %s: x = %h (%#Lx): got %h, want %h" what (F.to_string f) x
+    (Int64.bits_of_float x) got want
+
+(* Rounding depends on the dropped bits, the kept low bit and whether
+   the kept bits are all ones (a carry into the exponent).  A binade is
+   walked as kept part [hi] (the mantissa's bits from [shift] up) times
+   every dropped part: all of it by default; at an edge, the lowest
+   (even) and the highest (carrying) kept value of the format and every
+   61st of the rest, from an odd one. *)
+type walk = { shift : int; keep : int -> bool }
+
+let whole = { shift = 23; keep = (fun _ -> true) }
+
+let edge f =
+  let top = (1 lsl f.F.man_bits) - 1 in
+  { shift = 23 - f.F.man_bits; keep = (fun hi -> hi = 0 || hi = top || hi mod 61 = 7) }
+
+(* [k] gets each bit pattern (an int, so nothing is boxed per call). *)
+let iter_binade walk e k =
+  for sign = 0 to 1 do
+    for hi = 0 to (1 lsl (23 - walk.shift)) - 1 do
+      if walk.keep hi then
+        for lo = 0 to (1 lsl walk.shift) - 1 do
+          k ((sign lsl 31) lor (e lsl 23) lor (hi lsl walk.shift) lor lo)
+        done
+    done
+  done
+
+let[@inline] of_pattern b = Int32.float_of_bits (Int32.of_int b)
+
+(* Through [quantize_lanes], 32 lanes at a time. *)
+let check_binade ?(walk = whole) f e =
+  let inp = Array.make 32 0.0 and out = Array.make 32 0.0 in
+  let n = ref 0 in
+  let flush () =
+    Array.blit inp 0 out 0 !n;
+    F.quantize_lanes f out 0 ((1 lsl !n) - 1);
+    for lane = 0 to !n - 1 do
+      let want = F.quantize_bits f inp.(lane) in
+      if not (same_bits out.(lane) want) then
+        fail_round "quantize_lanes" f inp.(lane) out.(lane) want
+    done;
+    n := 0
+  in
+  iter_binade walk e (fun b ->
+      inp.(!n) <- of_pattern b;
+      incr n;
+      if !n = 32 then flush ());
+  if !n > 0 then flush ()
+
+let exact_all = Sys.getenv_opt "GPR_FP_EXACT_ALL" = Some "1"
+
+let test_exact_binades () =
+  List.iter
+    (fun f ->
+       if exact_all then for e = 0 to 255 do check_binade f e done
+       else begin
+         check_binade f 127;
+         (* the lowest and highest binades of the fast path (2^-126,
+            2^126), the format's flush edge (the binade under
+            2^(1 - bias)) and its saturation edge (the binade under
+            2^(bias + 1)); for f32 these are the slow side's f32
+            denormals and 2^127 *)
+         let b = F.bias f in
+         List.iter (check_binade ~walk:(edge f) f) [ 1; 253; 127 - b; 127 + b ]
+       end)
+    F.all
+
+(* Random doubles: a random f32 mantissa, optionally moved onto a tie of
+   a format's rounding bit (or the all-ones mantissa that carries into
+   the exponent), with the 29 bits below it on or next to a tie of the
+   24-bit rounding; exponents spread over and past the f32 range, and
+   concentrated on the fast path's and each format's edges. *)
+let random_double st =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let f = pick F.all in
+  let b = F.bias f in
+  let e =
+    match Random.State.int st 3 with
+    | 0 -> Random.State.int st 300 - 150
+    | 1 -> pick [ -127; -126; 126; 127 ]
+    | _ -> pick [ -b - 1; -b; b; b + 1 ]
+  in
+  let shift = 23 - f.F.man_bits in
+  let m = Random.State.bits st land 0x7f_ffff in
+  let m =
+    match Random.State.int st 4 with
+    | 0 -> m
+    | 1 -> 0x7f_ffff
+    | 2 -> (m land lnot ((1 lsl shift) - 1)) lor (1 lsl max 0 (shift - 1))
+    | _ -> ((m land lnot ((1 lsl shift) - 1)) lor (1 lsl max 0 (shift - 1))) - 1
+  in
+  let m = m land 0x7f_ffff in
+  let low =
+    pick [ 0; 1; (1 lsl 28) - 1; 1 lsl 28; (1 lsl 28) + 1; (1 lsl 29) - 1;
+           Random.State.bits st land ((1 lsl 29) - 1) ]
+  in
+  let bits =
+    Int64.(logor
+             (shift_left (of_int (Random.State.int st 2)) 63)
+             (logor (shift_left (of_int (e + 1023)) 52)
+                (of_int ((m lsl 29) lor low))))
+  in
+  Int64.float_of_bits bits
+
+let random_count = if exact_all then 20_000_000 else 400_000
+
+let test_exact_random () =
+  let st = Random.State.make [| 19 |] in
+  let lanes = Array.make 32 0.0 in
+  for _ = 1 to random_count do
+    let x = random_double st in
+    let want32 = f32_ref x in
+    let got32 = Sem.f32 x in
+    if not (same_bits got32 want32) then fail_round "Exec.Sem.f32" F.f32 x got32 want32;
+    List.iter
+      (fun f ->
+         let want = F.quantize_bits f x in
+         let got = F.quantize f x in
+         if not (same_bits got want) then fail_round "quantize" f x got want;
+         lanes.(0) <- x;
+         F.quantize_lanes f lanes 0 1;
+         if not (same_bits lanes.(0) want) then
+           fail_round "quantize_lanes" f x lanes.(0) want)
+      F.all
+  done
+
+let test_exact_f32_binades () =
+  (* [Sem.f32] on the doubles half an f32 ulp above an f32 value (ties)
+     and one double ulp either side of that (near-ties): every mantissa
+     of the mid binade, a sample of the edge binades.  Exact f32 values
+     are among the random doubles (low bits 0). *)
+  let check x =
+    let want = f32_ref x in
+    let got = Sem.f32 x in
+    if not (same_bits got want) then fail_round "Exec.Sem.f32" F.f32 x got want
+  in
+  let binade ?(walk = whole) e =
+    iter_binade walk e (fun b ->
+        let d = Int64.bits_of_float (of_pattern b) in
+        List.iter
+          (fun k -> check (Int64.float_of_bits (Int64.add d (Int64.of_int k))))
+          [ 1 lsl 28; (1 lsl 28) - 1; (1 lsl 28) + 1 ])
+  in
+  if exact_all then for e = 0 to 255 do binade e done
+  else begin
+    binade 127;
+    List.iter (binade ~walk:(edge F.f32)) [ 0; 1; 253; 254 ]
+  end
+
+(* [Sem.ftoi]/[ftou] convert with a bare [int_of_float]; the guarded
+   range keeps its truncation equal to the former [Float.trunc] first. *)
+let test_ftoi_boundaries () =
+  let old_ftoi x =
+    if Float.is_nan x then 0
+    else if x >= 2147483647.0 then 2147483647
+    else if x <= -2147483648.0 then -2147483648
+    else int_of_float (Float.trunc x)
+  in
+  let old_ftou x =
+    if Float.is_nan x then 0
+    else if x >= 4294967295.0 then 4294967295
+    else if x <= 0.0 then 0
+    else int_of_float (Float.trunc x)
+  in
+  let p31 = 2147483648.0 and p32 = 4294967296.0 in
+  List.iter
+    (fun x ->
+       List.iter
+         (fun x ->
+            let name = Printf.sprintf "%h" x in
+            Alcotest.(check int) ("ftoi " ^ name) (old_ftoi x) (Sem.ftoi x);
+            Alcotest.(check int) ("ftou " ^ name) (old_ftou x) (Sem.ftou x))
+         [ x; Float.pred x; Float.succ x ])
+    [ p31; -.p31; p31 -. 1.0; -.(p31 -. 1.0); p32 -. 1.0; p32; 0.5; -0.5; 1.5;
+      -1.5; 0.0; -0.0; nan; infinity; neg_infinity; 1e10; -1e10 ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~verbose:false in
   Alcotest.run "isa-arch-fp"
@@ -457,5 +649,12 @@ let () =
           q prop_quantize_idempotent;
           q prop_quantize_is_round_trip;
           q prop_quantize_monotone_width;
+        ] );
+      ( "fp-exact",
+        [
+          Alcotest.test_case "formats on f32 binades" `Quick test_exact_binades;
+          Alcotest.test_case "f32 on binades and ties" `Quick test_exact_f32_binades;
+          Alcotest.test_case "random doubles and ties" `Quick test_exact_random;
+          Alcotest.test_case "ftoi/ftou boundaries" `Quick test_ftoi_boundaries;
         ] );
     ]

@@ -217,7 +217,11 @@ let test_bits_slices () =
   Alcotest.(check int) "4 bits" 1 (Bits.slices_of_bits 4);
   Alcotest.(check int) "5 bits" 2 (Bits.slices_of_bits 5);
   Alcotest.(check int) "32 bits" 8 (Bits.slices_of_bits 32);
-  Alcotest.(check int) "popcount" 3 (Bits.popcount 0b10101)
+  Alcotest.(check int) "popcount" 3 (Bits.popcount 0b10101);
+  Alcotest.(check int) "popcount full warp" 32 (Bits.popcount 0xffff_ffff);
+  Alcotest.(check int) "popcount bit 32" 1 (Bits.popcount 0x1_0000_0000);
+  Alcotest.(check int) "popcount -1" 63 (Bits.popcount (-1));
+  Alcotest.(check int) "popcount min_int" 1 (Bits.popcount min_int)
 
 let prop_sign_extend_roundtrip =
   QCheck.Test.make ~name:"sign_extend inverts masking" ~count:500
@@ -267,9 +271,11 @@ let prop_bits_for_minimal =
          && (u = 1 || not (Bits.fits_unsigned ~width:(u - 1) x))
        else true)
 
+(* Half the cases are 32-bit values (the SWAR path: warp masks with
+   bits 30 and 31), half any int (the loop: bits above 31, negatives). *)
 let prop_popcount =
   QCheck.Test.make ~name:"popcount matches naive count" ~count:500
-    (QCheck.int_range 0 0x3fffffff)
+    (QCheck.oneof [ QCheck.int_range 0 0xffff_ffff; QCheck.int ])
     (fun x ->
        let naive = ref 0 in
        for i = 0 to 62 do
