@@ -33,11 +33,13 @@ module Sem = struct
 
   (* In the f32 normal range a Veltkamp split by 2^29 + 1 rounds to 24
      significant bits, ties to even, without the two C calls of the bit
-     casts; zeros, denormals, inf, NaN and |x| >= 2^127 take the casts.
+     casts; ±0 is its own rounding (returning [x] keeps the sign), and
+     denormals, inf, NaN and |x| >= 2^127 take the casts.
      [Format_.quantize] uses the same split. *)
   let[@inline] f32 x =
     let a = Float.abs x in
-    if a >= 0x1p-126 && a < 0x1p127 then
+    if x = 0.0 then x
+    else if a >= 0x1p-126 && a < 0x1p127 then
       let p = x *. 536870913.0 in
       (x -. p) +. p
     else Int32.float_of_bits (Int32.bits_of_float x)

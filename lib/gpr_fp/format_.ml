@@ -97,7 +97,7 @@ let decode t bits =
 (* [decode t (encode t x)] without the intermediate pattern: round the
    f32 mantissa in place (ties to even; a carry moves into the exponent
    field by itself), then flush or saturate on the narrow exponent range.
-   This is [quantize]'s path for zeros, f32 denormals, inf, NaN and
+   This is [quantize]'s path for f32 denormals, inf, NaN and
    |x| >= 2^127, and the oracle its fast path is tested against. *)
 let[@inline] quantize_bits t x =
   let b = f32_bits x in
@@ -141,7 +141,9 @@ let saturate_by_exp = Array.init 9 (fun e -> if e < 2 then 0.0 else ldexp 1.0 (1
 
 let[@inline] quantize t x =
   let a = Float.abs x in
-  if a >= 0x1p-126 && a < 0x1p127 then begin
+  (* ±0 rounds to itself in every format; returning [x] keeps the sign *)
+  if x = 0.0 then x
+  else if a >= 0x1p-126 && a < 0x1p127 then begin
     (* 2^29 + 1 rounds to f32's 24 bits (a literal, not a boxed global);
        on the f32 normal range the result stays normal *)
     let q = split (Array.unsafe_get split_by_man t.man_bits) (split 536870913.0 x) in

@@ -41,14 +41,14 @@ val decode : t -> int -> float
 
 val quantize : t -> float -> float
 (** [decode t (encode t x)] — the value the register file would return
-    after a store/load round trip in this format.  For
-    2^-126 <= |x| < 2^127 it rounds with double arithmetic (a Veltkamp
-    split), elsewhere with {!quantize_bits}; the two agree bit for
-    bit. *)
+    after a store/load round trip in this format.  ±0 comes back as
+    itself; for 2^-126 <= |x| < 2^127 it rounds with double arithmetic
+    (a Veltkamp split), elsewhere with {!quantize_bits}; the two agree
+    bit for bit. *)
 
 val quantize_bits : t -> float -> float
 (** [quantize] computed on the IEEE single-precision bit pattern: the
-    path [quantize] takes for zeros, f32 denormals, inf, NaN and
+    path [quantize] takes for f32 denormals, inf, NaN and
     |x| >= 2^127, and the reference its fast path is tested against. *)
 
 val quantize_lanes : t -> float array -> int -> int -> unit

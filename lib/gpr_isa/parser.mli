@@ -1,4 +1,4 @@
-(** Parser for the textual kernel form emitted by {!Pp.pp_kernel}.
+(** Parser for the textual kernel form emitted by {!Pp.kernel_to_string}.
 
     The printed form is self-contained (parameter/buffer/special-
     register declarations followed by labelled basic blocks), so

@@ -53,10 +53,10 @@ let quote kernel loc =
   else
     let b = kernel.k_blocks.(loc.l_block) in
     match loc.l_instr with
-    | None -> Some (Format.asprintf "%a" Pp.pp_terminator b.term)
+    | None -> Some (Pp.terminator_to_string b.term)
     | Some i ->
       if i < 0 || i >= Array.length b.instrs then None
-      else Some (Format.asprintf "%a" Pp.pp_instr b.instrs.(i))
+      else Some (Pp.instr_to_string b.instrs.(i))
 
 let loc_to_string loc =
   if loc.l_block < 0 then "kernel"

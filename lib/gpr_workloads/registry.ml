@@ -1,15 +1,16 @@
 let all : Workload.t list =
-  [ Graphics.deferred;
-    Graphics.ssao;
-    Graphics.elevated;
-    Graphics.pathtracer;
-    Rodinia.cfd;
-    Rodinia.dwt2d;
-    Rodinia.hotspot;
-    Rodinia.hotspot3d;
-    Leukocyte.imgvf;
-    Leukocyte.gicov;
-    Hybridsort.hybridsort ]
+  List.map Workload.share_inputs
+    [ Graphics.deferred;
+      Graphics.ssao;
+      Graphics.elevated;
+      Graphics.pathtracer;
+      Rodinia.cfd;
+      Rodinia.dwt2d;
+      Rodinia.hotspot;
+      Rodinia.hotspot3d;
+      Leukocyte.imgvf;
+      Leukocyte.gicov;
+      Hybridsort.hybridsort ]
 
 let by_name name =
   List.find_opt

@@ -20,7 +20,10 @@ type t = {
   launch : launch;
   params : Gpr_exec.Exec.pvalue array;
   data : unit -> (string * Gpr_exec.Exec.storage) list;
-      (** fresh, deterministic input and output arrays *)
+      (** Fresh, deterministic input and output arrays on every call:
+          the caller owns them and may write into them.  For the
+          registry's workloads ({!share_inputs}) they are copies of
+          inputs generated once per process. *)
   shared : (string * int) list;  (** shared buffer sizes, elements *)
   extra_shared_bytes : int;
       (** shared memory the real kernel allocates beyond the modelled
@@ -28,6 +31,11 @@ type t = {
   output : output_spec;
   paper_regs : int;        (** Table 4 "Register usage per thread" *)
 }
+
+val share_inputs : t -> t
+(** The same workload with [data] generating its inputs once, on the
+    first call from any domain, and returning fresh copies of them on
+    every call.  Safe to call from several domains at once. *)
 
 val warps_per_block : t -> int
 val shared_bytes_per_block : t -> int
@@ -39,7 +47,8 @@ val buffer_len : t -> string -> int option
 
 val reference : t -> float array
 (** Run at full precision and return the output buffer as floats
-    (ints are converted) — the "original output" of Sec. 5.3. *)
+    (ints are converted) — the "original output" of Sec. 5.3.  A float
+    output is the run's own buffer from [data], not a copy. *)
 
 val run_quantized : t -> quantize:Gpr_fp.Format_.t array -> float array
 (** Re-run on the same inputs with float registers stored in per-pc

@@ -181,6 +181,66 @@ let test_fp_workload_sensitivity () =
   Alcotest.(check bool) "metric edit" true
     (differs { base with metric = Gpr_quality.Quality.M_binary })
 
+(* Byte-identity pins: stores written by earlier builds stay valid only
+   while every fingerprint keeps its value, so the printer and the input
+   plumbing behind them are pinned to values recorded at gpr-engine/6.
+   A deliberate change of fingerprint content must bump
+   [Fingerprint.version] and re-record these. *)
+let registry_pins =
+  [ (* name, Fingerprint.workload, Fingerprint.kernel *)
+    ("Deferred", "c4f56b62f8b381d7234eae281c2ade3f",
+     "dd84ead8f73a3cd062567be3c30ff795");
+    ("SSAO", "3b3e0e2896540fca99d9456367c60f37",
+     "0d2bd9ee3ac4bbd5ed55177810c38b07");
+    ("Elevated", "85848ebfb03d9c1fd4ad67c5c31ad353",
+     "df17233f82246397878aa12090ae838e");
+    ("Pathtracer", "ebbc9c00f26ff0d2af237e5b9b3e8151",
+     "20db716e883953e2aef429d3d3534837");
+    ("CFD", "98d38dc73ddff52e0bd6b237c4569fd6",
+     "ee45bf4df7943361733d19c023a8f014");
+    ("DWT2D", "b06c340ad9b6b2c9bb72b0365d50f618",
+     "c3a4200348f02d1115826ac462d5167d");
+    ("Hotspot", "cfc7617a185d1fc1601011098083bc8d",
+     "d1b4c0431633d1326ea937bf0ef7dd81");
+    ("Hotspot3D", "b785e1f1059f75b56344c01745fae4c5",
+     "c97acd576afd7260b43843ba45794d97");
+    ("IMGVF", "71009b1aea0e7b6420c5746a560674e1",
+     "6e5784ca6513ecf0ccd8ea700a484bc5");
+    ("GICOV", "d4b0773bb0c47afbc322d593623c8712",
+     "dec04826709bb94e69c847e13c9a2c7d");
+    ("Hybridsort", "abf7d6d6ee6943d39578027b0648333d",
+     "caddb375e8df61c115b286cf3414c76c") ]
+
+let test_fp_registry_pins () =
+  Alcotest.(check string) "engine version" "gpr-engine/6" Fp.version;
+  List.iter
+    (fun (name, workload, kernel) ->
+       let w = Option.get (Gpr_workloads.Registry.by_name name) in
+       Alcotest.(check string) (name ^ " workload") workload
+         (Fp.to_hex (Fp.workload w));
+       Alcotest.(check string) (name ^ " kernel") kernel
+         (Fp.to_hex (Fp.kernel w.kernel)))
+    registry_pins;
+  Alcotest.(check int) "every registry kernel pinned"
+    (List.length Gpr_workloads.Registry.all) (List.length registry_pins)
+
+(* The printed text of 200 generated kernels and of their SSA and e-SSA
+   forms (phi and pi nodes, negative offsets and immediates), digested
+   in order.  Generated kernels carry no float immediates; the registry
+   pins cover those (~1500 of them). *)
+let test_fp_printer_pin () =
+  let buf = Buffer.create (1 lsl 20) in
+  for seed = 1 to 200 do
+    let k = (Gpr_check.Gen.generate seed).kernel in
+    let ssa = Gpr_analysis.Ssa.convert k in
+    let essa = Gpr_analysis.Essa.convert ssa in
+    List.iter
+      (fun k -> Buffer.add_string buf (Gpr_isa.Pp.kernel_to_string k))
+      [ k; ssa.kernel; essa.kernel ]
+  done;
+  Alcotest.(check string) "generated kernel text" "929300bd212924d274bf45ff065b5c75"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* ---------------------------------------------------------------- *)
 (* Store *)
 
@@ -451,6 +511,8 @@ let () =
             test_fp_of_strings_unambiguous;
           Alcotest.test_case "workload sensitivity" `Quick
             test_fp_workload_sensitivity;
+          Alcotest.test_case "registry pins" `Quick test_fp_registry_pins;
+          Alcotest.test_case "printer pin" `Quick test_fp_printer_pin;
         ] );
       ( "store",
         [

@@ -574,6 +574,29 @@ let test_exact_f32_binades () =
     List.iter (binade ~walk:(edge F.f32)) [ 0; 1; 253; 254 ]
   end
 
+(* ±0 is its own rounding on every path and in every format, sign
+   included ([Sem.f32] and [quantize] return it before the range test). *)
+let test_exact_zeros () =
+  let lanes = Array.make 32 0.0 in
+  List.iter
+    (fun x ->
+       let got32 = Sem.f32 x in
+       if not (same_bits got32 x) then fail_round "Exec.Sem.f32" F.f32 x got32 x;
+       List.iter
+         (fun f ->
+            let want = F.quantize_bits f x in
+            if not (same_bits want x) then fail_round "quantize_bits" f x want x;
+            let got = F.quantize f x in
+            if not (same_bits got want) then fail_round "quantize" f x got want;
+            Array.fill lanes 0 32 x;
+            F.quantize_lanes f lanes 0 0xffff_ffff;
+            Array.iter
+              (fun got ->
+                 if not (same_bits got want) then fail_round "quantize_lanes" f x got want)
+              lanes)
+         F.all)
+    [ 0.0; -0.0 ]
+
 (* [Sem.ftoi]/[ftou] convert with a bare [int_of_float]; the guarded
    range keeps its truncation equal to the former [Float.trunc] first. *)
 let test_ftoi_boundaries () =
@@ -655,6 +678,7 @@ let () =
           Alcotest.test_case "formats on f32 binades" `Quick test_exact_binades;
           Alcotest.test_case "f32 on binades and ties" `Quick test_exact_f32_binades;
           Alcotest.test_case "random doubles and ties" `Quick test_exact_random;
+          Alcotest.test_case "signed zeros" `Quick test_exact_zeros;
           Alcotest.test_case "ftoi/ftou boundaries" `Quick test_ftoi_boundaries;
         ] );
     ]

@@ -43,6 +43,53 @@ let test_imgvf_shared_matches_paper () =
   Alcotest.(check int) "14560 bytes" 14560
     (W.shared_bytes_per_block (find "IMGVF"))
 
+(* The registry generates each workload's inputs once and hands out
+   copies: equal contents, never the same array, and a run's writes do
+   not reach the next call. *)
+let storage_distinct (_, a) (_, b) =
+  match (a, b) with
+  | E.F_data x, E.F_data y -> x != y
+  | E.I_data x, E.I_data y -> x != y
+  | _ -> false
+
+let bump = function
+  | _, E.F_data a -> Array.iteri (fun i v -> a.(i) <- v +. 1.0) a
+  | _, E.I_data a -> Array.iteri (fun i v -> a.(i) <- v + 1) a
+
+let test_inputs_fresh_copies () =
+  List.iter
+    (fun (w : W.t) ->
+       let d0 = w.data () in
+       let d1 = w.data () in
+       Alcotest.(check bool) (w.name ^ " equal") true (d0 = d1);
+       Alcotest.(check bool) (w.name ^ " distinct arrays") true
+         (List.for_all2 storage_distinct d0 d1);
+       List.iter bump d1;
+       Alcotest.(check bool) (w.name ^ " written") false (d0 = d1);
+       Alcotest.(check bool) (w.name ^ " writes do not leak") true (d0 = w.data ()))
+    Registry.all
+
+(* Two domains making the first call at once both get the generator's
+   data; after that the generator never runs again. *)
+let test_inputs_first_call_race () =
+  let raw = Gpr_workloads.Rodinia.dwt2d in
+  let calls = Atomic.make 0 in
+  let w =
+    W.share_inputs { raw with data = (fun () -> Atomic.incr calls; raw.data ()) }
+  in
+  let racers = List.init 2 (fun _ -> Domain.spawn (fun () -> w.data ())) in
+  match List.map Domain.join racers with
+  | [ a; b ] ->
+    let want = raw.data () in
+    Alcotest.(check bool) "first racer" true (a = want);
+    Alcotest.(check bool) "second racer" true (b = want);
+    Alcotest.(check bool) "distinct arrays" true (List.for_all2 storage_distinct a b);
+    let n = Atomic.get calls in
+    Alcotest.(check bool) "one or two generations" true (n = 1 || n = 2);
+    Alcotest.(check bool) "later call" true (w.data () = want);
+    Alcotest.(check int) "no generation after publishing" n (Atomic.get calls)
+  | _ -> assert false
+
 let test_references_deterministic () =
   List.iter
     (fun (w : W.t) ->
@@ -199,6 +246,9 @@ let () =
           Alcotest.test_case "kernels validate" `Quick test_kernels_validate;
           Alcotest.test_case "table4 geometry" `Quick test_table4_geometry;
           Alcotest.test_case "imgvf shared" `Quick test_imgvf_shared_matches_paper;
+          Alcotest.test_case "inputs fresh copies" `Quick test_inputs_fresh_copies;
+          Alcotest.test_case "inputs first-call race" `Quick
+            test_inputs_first_call_race;
         ] );
       ( "determinism",
         [
