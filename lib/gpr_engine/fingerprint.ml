@@ -63,9 +63,6 @@ let pvalue = function
   | Gpr_exec.Exec.P_int i -> Printf.sprintf "i%d" i
   | Gpr_exec.Exec.P_float f -> Printf.sprintf "f%Lx" (Int64.bits_of_float f)
 
-let storage_digest (bindings : (string * Gpr_exec.Exec.storage) list) =
-  Digest.string (Marshal.to_string bindings [])
-
 let output_spec = function
   | Gpr_workloads.Workload.Out_floats n -> "floats:" ^ n
   | Gpr_workloads.Workload.Out_image (n, w, h) ->
@@ -83,4 +80,4 @@ let workload (w : Gpr_workloads.Workload.t) =
      @ [ Printf.sprintf "extra-shared:%d" w.extra_shared_bytes;
          output_spec w.output;
          Gpr_quality.Quality.metric_name w.metric;
-         storage_digest (w.data ()) ])
+         Gpr_workloads.Workload.inputs_digest w ])

@@ -50,8 +50,14 @@ val workload : Gpr_workloads.Workload.t -> t
 (** Everything that determines the static framework's result for a
     workload: kernel text, launch, parameter values, shared layout,
     output spec, quality metric and a digest of the freshly generated
-    input data.  The workload {e name} is included only as a debugging
-    aid; two same-named workloads with different bodies get different
-    fingerprints (the staleness bug this module exists to fix). *)
+    input data ({!Gpr_workloads.Workload.inputs_digest}: computed once
+    per process for a {!Gpr_workloads.Workload.share_inputs} workload,
+    such as the registry's, and on every call otherwise).  A
+    [{ w with data = g }] copy digests [g]'s data, never [w]'s kept
+    digest.  The kernel text is printed on every call, since kernels
+    may be edited in place.  The workload {e name} is included only as
+    a debugging aid; two same-named workloads with different bodies get
+    different fingerprints (the staleness bug this module exists to
+    fix). *)
 
 val combine : t list -> t

@@ -3,17 +3,18 @@ type 'a state =
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
 
-type 'a future = {
-  fm : Mutex.t;
-  fc : Condition.t;
-  mutable cell : 'a state;
-}
-
 type shared = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   queue : (unit -> unit) Queue.t;
   mutable stop : bool;
+}
+
+type 'a future = {
+  fm : Mutex.t;
+  fc : Condition.t;
+  mutable cell : 'a state;
+  queue_of : shared option;  (* the pool's queue, served while awaiting *)
 }
 
 type t = {
@@ -59,8 +60,8 @@ let create ~jobs =
     { n_jobs = jobs; shared = Some sh; domains }
   end
 
-let fresh_future () =
-  { fm = Mutex.create (); fc = Condition.create (); cell = Pending }
+let fresh_future queue_of =
+  { fm = Mutex.create (); fc = Condition.create (); cell = Pending; queue_of }
 
 let m_tasks = Gpr_obs.Metrics.counter "pool.tasks"
 
@@ -89,7 +90,7 @@ let run_into fut f =
   Mutex.unlock fut.fm
 
 let submit t f =
-  let fut = fresh_future () in
+  let fut = fresh_future t.shared in
   (match t.shared with
    | None -> run_into fut f
    | Some sh ->
@@ -103,7 +104,33 @@ let submit t f =
      Mutex.unlock sh.mutex);
   fut
 
+let pending fut =
+  Mutex.lock fut.fm;
+  let p = fut.cell = Pending in
+  Mutex.unlock fut.fm;
+  p
+
+let try_pop sh =
+  Mutex.lock sh.mutex;
+  let job = Queue.take_opt sh.queue in
+  Mutex.unlock sh.mutex;
+  job
+
+(* While its own future is pending the awaiting domain runs queued
+   tasks, so [jobs] domains compute.  Once the queue is empty every
+   task left is running on a worker (only the awaiting domain
+   submits), and it blocks until its own one completes. *)
 let await fut =
+  (match fut.queue_of with
+   | None -> ()
+   | Some sh ->
+     let rec help () =
+       if pending fut then
+         match try_pop sh with
+         | Some job -> job (); help ()
+         | None -> ()
+     in
+     help ());
   Mutex.lock fut.fm;
   let rec wait () =
     match fut.cell with

@@ -3,8 +3,10 @@
     The evaluation pipeline is embarrassingly parallel — 11 kernels ×
     6 configurations, each an independent analyze→tune→allocate→simulate
     chain — so the pool is deliberately simple: a mutex/condition work
-    queue served by [jobs - 1] worker domains (the submitting domain is
-    counted as a worker slot but only ever blocks in {!await}).
+    queue served by [jobs - 1] worker domains and by the submitting
+    domain, which runs queued tasks inside {!await} while the future it
+    waits for is pending.  A submitter that never awaits (the daemon's
+    event loop) leaves the queue to the [jobs - 1] workers.
 
     Determinism contract: {!map_list} submits in list order and awaits
     in list order, so its result is {e identical} to [List.map] — only
@@ -13,9 +15,9 @@
     tables are mutex-guarded for exactly this reason).
 
     Restrictions: tasks must not {!submit} to, or {!await} futures of,
-    the pool that runs them — worker domains never service the queue
-    while blocked, so nested waits can deadlock.  Fan-out happens at
-    one level, from the orchestrating domain. *)
+    the pool that runs them — a task's await could block a worker on a
+    task queued behind it, so nested waits can deadlock.  Fan-out
+    happens at one level, from the orchestrating domain. *)
 
 type t
 
@@ -42,6 +44,8 @@ val submit : t -> (unit -> 'a) -> 'a future
     their backtrace and re-raised by {!await} in the awaiting domain. *)
 
 val await : 'a future -> 'a
+(** Result of the task.  While it is pending, the caller runs other
+    queued tasks of the pool (in queue order) before blocking. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Submit [f x] for every element, await in order.  Equal to

@@ -112,8 +112,9 @@ let create cfg =
   Unix.set_nonblock wake_r;
   {
     cfg;
-    (* +1: the IO domain holds the submitting slot and never runs work
-       inline, so [workers] real worker domains serve the queue. *)
+    (* +1: a pool of [jobs] spawns [jobs - 1] domains and counts the
+       submitter as the last; the IO domain never awaits, so it runs no
+       task and [workers] real worker domains serve the queue. *)
     pool = Pool.create ~jobs:(cfg.workers + 1);
     stop_flag = Atomic.make false;
     wake_r;

@@ -25,24 +25,55 @@ let copy_storage = function
   | Exec.I_data a -> Exec.I_data (Array.copy a)
   | Exec.F_data a -> Exec.F_data (Array.copy a)
 
-(* The first call generates the inputs and publishes them; a racing
-   domain's own copy loses the [compare_and_set] and is dropped (a
-   [Lazy.t] forced from two domains at once raises instead).  Every call
-   hands out fresh arrays, so a run may write into its buffers. *)
+let copy_inputs inputs =
+  List.map (fun (name, s) -> (name, copy_storage s)) inputs
+
+let digest_inputs inputs = Digest.string (Marshal.to_string inputs [])
+
+type kept = { inputs : (string * Exec.storage) list; digest : Digest.t }
+
+(* Every [data] closure [share_inputs] has built, keyed by physical
+   identity, with the function that yields its kept inputs.  A [with]
+   copy that replaces [data] is not in the table, so it never sees
+   another closure's inputs or digest. *)
+let shared_closures :
+  ((unit -> (string * Exec.storage) list) * (unit -> kept)) list Atomic.t =
+  Atomic.make []
+
+(* The first call generates the inputs, digests a fresh copy of them
+   (the bytes [digest_inputs (t.data ())] hashes) and publishes both; a
+   racing domain's own result loses the [compare_and_set] and is
+   dropped (a [Lazy.t] forced from two domains at once raises
+   instead).  Every [data] call hands out fresh arrays, so a run may
+   write into its buffers. *)
 let share_inputs t =
-  let kept = Atomic.make None in
-  let data () =
-    let inputs =
-      match Atomic.get kept with
-      | Some inputs -> inputs
-      | None ->
-        let inputs = t.data () in
-        if Atomic.compare_and_set kept None (Some inputs) then inputs
-        else Option.get (Atomic.get kept)
-    in
-    List.map (fun (name, s) -> (name, copy_storage s)) inputs
+  let cell = Atomic.make None in
+  let kept () =
+    match Atomic.get cell with
+    | Some k -> k
+    | None ->
+      let inputs = t.data () in
+      let k = { inputs; digest = digest_inputs (copy_inputs inputs) } in
+      if Atomic.compare_and_set cell None (Some k) then k
+      else Option.get (Atomic.get cell)
   in
+  let data () = copy_inputs (kept ()).inputs in
+  let rec register () =
+    let l = Atomic.get shared_closures in
+    if not (Atomic.compare_and_set shared_closures l ((data, kept) :: l))
+    then register ()
+  in
+  register ();
   { t with data }
+
+let kept_inputs t =
+  Option.map (fun kept -> kept ())
+    (List.assq_opt t.data (Atomic.get shared_closures))
+
+let inputs_digest t =
+  match kept_inputs t with
+  | Some k -> k.digest
+  | None -> digest_inputs (t.data ())
 
 let warps_per_block t = (threads_per_block t.launch + 31) / 32
 
@@ -50,7 +81,7 @@ let shared_bytes_per_block t =
   List.fold_left (fun acc (_, n) -> acc + (n * 4)) t.extra_shared_bytes t.shared
 
 let buffer_len t =
-  let data = t.data () in
+  let data = match kept_inputs t with Some k -> k.inputs | None -> t.data () in
   fun name ->
     match List.assoc_opt name t.shared with
     | Some n -> Some n

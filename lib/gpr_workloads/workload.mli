@@ -35,15 +35,29 @@ type t = {
 val share_inputs : t -> t
 (** The same workload with [data] generating its inputs once, on the
     first call from any domain, and returning fresh copies of them on
-    every call.  Safe to call from several domains at once. *)
+    every call.  That first call also computes {!inputs_digest} once.
+    Safe to call from several domains at once.  Each call adds an entry
+    to a process-wide table that is never freed: meant for long-lived
+    workloads such as the registry's. *)
+
+val inputs_digest : t -> Digest.t
+(** MD5 of the [Marshal] of the freshly generated inputs, the input
+    part of {!Gpr_engine.Fingerprint.workload}.  For a workload whose
+    [data] is the closure {!share_inputs} built, it is the digest that
+    closure computed once; for any other [data] it is recomputed from a
+    [data ()] call every time.  So a [{ w with data = g }] copy gets
+    [g]'s own digest, while [{ w with kernel = k }] keeps the memo
+    (same inputs; the kernel text enters the fingerprint separately). *)
 
 val warps_per_block : t -> int
 val shared_bytes_per_block : t -> int
 
 val buffer_len : t -> string -> int option
 (** Element count of each bound buffer, by name (shared sizes, then
-    the input data, generated once per partial application): the
-    buffer-length oracle handed to {!Gpr_lint.Lint}. *)
+    the input data): the buffer-length oracle handed to
+    {!Gpr_lint.Lint}.  A shared workload's lengths are read from its
+    kept inputs; any other generates its data once per partial
+    application. *)
 
 val reference : t -> float array
 (** Run at full precision and return the output buffer as floats

@@ -81,6 +81,22 @@ let test_pool_empty_and_shutdown () =
 let test_default_jobs () =
   Alcotest.(check bool) "positive" true (Pool.default_jobs () >= 1)
 
+(* At [-j 2] two tasks run at once: each waits (up to a timeout) for
+   the other to arrive, which a pool with one computing domain cannot
+   satisfy. *)
+let test_pool_rendezvous () =
+  let arrived = Atomic.make 0 in
+  let meet _ =
+    Atomic.incr arrived;
+    let give_up = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get arrived < 2 && Unix.gettimeofday () < give_up do
+      Unix.sleepf 0.001
+    done;
+    Atomic.get arrived >= 2
+  in
+  Alcotest.(check (list bool)) "both tasks met" [ true; true ]
+    (Pool.with_pool ~jobs:2 (fun p -> Pool.map_list p meet [ 0; 1 ]))
+
 (* ---------------------------------------------------------------- *)
 (* Fingerprint *)
 
@@ -180,6 +196,56 @@ let test_fp_workload_sensitivity () =
     (differs { base with params = [| Gpr_exec.Exec.P_int 42 |] });
   Alcotest.(check bool) "metric edit" true
     (differs { base with metric = Gpr_quality.Quality.M_binary })
+
+(* A [share_inputs] workload generates and digests its inputs once; its
+   fingerprint is the one the unshared workload computes fresh.  A
+   [with] copy carrying other data gets that data's own fingerprint. *)
+let test_fp_shared_inputs_memo () =
+  let module W = Gpr_workloads.Workload in
+  let raw = Gpr_workloads.Rodinia.hotspot in
+  let calls = Atomic.make 0 in
+  let w =
+    W.share_inputs { raw with data = (fun () -> Atomic.incr calls; raw.data ()) }
+  in
+  let fresh = Fp.to_hex (Fp.workload raw) in
+  for _ = 1 to 4 do
+    Alcotest.(check string) "memo equals unshared" fresh
+      (Fp.to_hex (Fp.workload w));
+    ignore (w.data ())
+  done;
+  Alcotest.(check int) "one generation" 1 (Atomic.get calls);
+  let other () =
+    List.map
+      (function
+        | name, Gpr_exec.Exec.F_data a ->
+          (name, Gpr_exec.Exec.F_data (Array.map (fun v -> v +. 1.0) a))
+        | b -> b)
+      (raw.data ())
+  in
+  let swapped = Fp.to_hex (Fp.workload { w with data = other }) in
+  Alcotest.(check string) "data copy digests its own data"
+    (Fp.to_hex (Fp.workload { raw with data = other })) swapped;
+  Alcotest.(check bool) "data copy differs" false (String.equal fresh swapped);
+  let k = (Option.get (Gpr_workloads.Registry.by_name "DWT2D")).kernel in
+  let rekernelled = Fp.to_hex (Fp.workload { w with kernel = k }) in
+  Alcotest.(check string) "kernel copy keeps the inputs"
+    (Fp.to_hex (Fp.workload { raw with kernel = k })) rekernelled;
+  Alcotest.(check bool) "kernel copy differs" false
+    (String.equal fresh rekernelled);
+  Alcotest.(check int) "still one generation" 1 (Atomic.get calls)
+
+(* Two domains fingerprinting a new shared workload at once agree with
+   each other and with the unshared fingerprint. *)
+let test_fp_shared_inputs_race () =
+  let raw = Gpr_workloads.Rodinia.dwt2d in
+  let w = Gpr_workloads.Workload.share_inputs raw in
+  let racers =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> Fp.to_hex (Fp.workload w)))
+  in
+  let fresh = Fp.to_hex (Fp.workload raw) in
+  List.iter
+    (fun d -> Alcotest.(check string) "racer" fresh (Domain.join d))
+    racers
 
 (* Byte-identity pins: stores written by earlier builds stay valid only
    while every fingerprint keeps its value, so the printer and the input
@@ -496,6 +562,7 @@ let () =
           Alcotest.test_case "empty + shutdown" `Quick
             test_pool_empty_and_shutdown;
           Alcotest.test_case "default jobs" `Quick test_default_jobs;
+          Alcotest.test_case "rendezvous at -j 2" `Quick test_pool_rendezvous;
         ] );
       ( "fingerprint",
         [
@@ -511,6 +578,10 @@ let () =
             test_fp_of_strings_unambiguous;
           Alcotest.test_case "workload sensitivity" `Quick
             test_fp_workload_sensitivity;
+          Alcotest.test_case "shared inputs memo" `Quick
+            test_fp_shared_inputs_memo;
+          Alcotest.test_case "shared inputs race" `Quick
+            test_fp_shared_inputs_race;
           Alcotest.test_case "registry pins" `Quick test_fp_registry_pins;
           Alcotest.test_case "printer pin" `Quick test_fp_printer_pin;
         ] );

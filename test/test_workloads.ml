@@ -90,6 +90,26 @@ let test_inputs_first_call_race () =
     Alcotest.(check int) "no generation after publishing" n (Atomic.get calls)
   | _ -> assert false
 
+(* A shared workload's digest and buffer lengths come from the inputs
+   it keeps: they match the generator's, which runs once. *)
+let test_inputs_digest_once () =
+  let raw = Gpr_workloads.Rodinia.hotspot3d in
+  let calls = Atomic.make 0 in
+  let w =
+    W.share_inputs { raw with data = (fun () -> Atomic.incr calls; raw.data ()) }
+  in
+  let want = Digest.string (Marshal.to_string (raw.data ()) []) in
+  for _ = 1 to 3 do
+    Alcotest.(check string) "digest" (Digest.to_hex want)
+      (Digest.to_hex (W.inputs_digest w))
+  done;
+  let names = List.map fst (raw.data ()) @ List.map fst w.shared @ [ "absent" ] in
+  let lens = W.buffer_len w and raw_lens = W.buffer_len raw in
+  List.iter
+    (fun n -> Alcotest.(check (option int)) n (raw_lens n) (lens n))
+    names;
+  Alcotest.(check int) "one generation" 1 (Atomic.get calls)
+
 let test_references_deterministic () =
   List.iter
     (fun (w : W.t) ->
@@ -247,6 +267,7 @@ let () =
           Alcotest.test_case "table4 geometry" `Quick test_table4_geometry;
           Alcotest.test_case "imgvf shared" `Quick test_imgvf_shared_matches_paper;
           Alcotest.test_case "inputs fresh copies" `Quick test_inputs_fresh_copies;
+          Alcotest.test_case "inputs digest once" `Quick test_inputs_digest_once;
           Alcotest.test_case "inputs first-call race" `Quick
             test_inputs_first_call_race;
         ] );
