@@ -161,9 +161,10 @@ let pressure_cmd =
 
 let sim_cmd =
   let delay =
-    Arg.(value & opt int 3
+    Arg.(value & opt (some int) None
          & info [ "writeback-delay" ] ~docv:"CYCLES"
-             ~doc:"Writeback delay of the proposed organisation (Sec. 6.3).")
+             ~doc:"Writeback delay of the proposed organisation (Sec. 6.3); \
+                   default: the slice scheme's own (3 cycles).")
   in
   let run name delay cache_dir =
     let store = setup_store cache_dir in
@@ -171,7 +172,7 @@ let sim_cmd =
     let w = find_workload name in
     let c = Compress.analyze w in
     let b = Simulate.baseline c in
-    let p = Simulate.proposed ~writeback_delay:delay c Q.High in
+    let p = Simulate.proposed ?writeback_delay:delay c Q.High in
     let row tag (s : Gpr_sim.Sim.stats) =
       [ tag; string_of_int s.cycles; Tab.fp s.gpu_ipc;
         Tab.pct (100.0 *. s.l1_hit_rate); Tab.pct (100.0 *. s.tex_hit_rate);

@@ -55,21 +55,12 @@ let tune_threshold (w : Workload.t) ~evaluate ~width threshold =
 
 (* Memoisation is keyed by content fingerprint, not by workload name:
    two distinct kernels sharing a name must not return each other's
-   results (they used to — see the regression test in test_core).  The
-   table is mutex-guarded so engine worker domains can share it; the
-   expensive computation runs outside the lock, so two domains racing
-   on the same fingerprint may both compute, but they store identical
-   values (the whole pipeline is deterministic). *)
-let cache : (string, t) Hashtbl.t = Hashtbl.create 16
-let cache_mutex = Mutex.create ()
+   results (they used to — see the regression test in test_core). *)
+let cache : t Gpr_engine.Memo.t = Gpr_engine.Memo.create ()
 
 let store : Gpr_engine.Store.t option ref = ref None
 let set_store s = store := s
-
-let clear_cache () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mutex
+let clear_cache () = Gpr_engine.Memo.clear cache
 
 let fingerprint (w : Workload.t) = Gpr_engine.Fingerprint.workload w
 
@@ -101,27 +92,15 @@ let compute (w : Workload.t) =
 
 let analyze (w : Workload.t) =
   let fp = fingerprint w in
-  let key = Gpr_engine.Fingerprint.to_hex fp in
-  Mutex.lock cache_mutex;
-  let cached = Hashtbl.find_opt cache key in
-  Mutex.unlock cache_mutex;
-  match cached with
-  | Some t -> t
-  | None ->
-    let s =
-      Gpr_engine.Store.memoize !store ~kind:"analyze" ~key:fp (fun () ->
-          compute w)
-    in
-    let t =
+  Gpr_engine.Memo.get cache (Gpr_engine.Fingerprint.to_hex fp) (fun () ->
+      let s =
+        Gpr_engine.Store.memoize !store ~kind:"analyze" ~key:fp (fun () ->
+            compute w)
+      in
       { w; fingerprint = fp; reference = s.s_reference; width = s.s_width;
         range = s.s_width.Gpr_analysis.Width.range;
         baseline = s.s_baseline; int_only = s.s_int_only;
-        perfect = s.s_perfect; high = s.s_high }
-    in
-    Mutex.lock cache_mutex;
-    Hashtbl.replace cache key t;
-    Mutex.unlock cache_mutex;
-    t
+        perfect = s.s_perfect; high = s.s_high })
 
 let threshold_data t = function
   | Q.Perfect -> t.perfect

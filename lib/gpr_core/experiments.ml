@@ -5,6 +5,8 @@ module Stats = Gpr_util.Stats
 module Occ = Gpr_arch.Occupancy
 
 let cfg = Gpr_arch.Config.fermi_gtx480
+let baseline = Gpr_backend.Registry.find_exn "baseline"
+let slice = Gpr_backend.Registry.find_exn "slice"
 
 let analyze name =
   match Registry.by_name name with
@@ -421,7 +423,7 @@ let fig12_data () =
   let cs = analyzed_all () in
   (* Warm the quantised trace of each kernel once, in parallel, so the
      per-(kernel, delay) jobs below re-simulate without re-executing. *)
-  let _ = pmap (fun c -> ignore (Simulate.trace_quantized c Q.High)) cs in
+  let _ = pmap (fun c -> Simulate.warm slice c Q.High) cs in
   let ipcs =
     pmap
       (fun (c, d) ->
@@ -488,8 +490,7 @@ let backend_comparison ?names (backends : Gpr_backend.Backend.t list) =
   in
   pmap
     (fun ((c : Compress.t), base, b) ->
-       let res = Simulate.backend_resources b c Q.High in
-       let occ = Simulate.backend_occupancy c res in
+       let res, occ = Simulate.footprint b c Q.High in
        let st = Simulate.backend b c Q.High in
        {
          b_kernel = c.w.name;
@@ -589,12 +590,9 @@ let print_ablation_scheduler () =
     pmap
       (fun name ->
          let c = analyze name in
-         let trace = Simulate.trace_plain c in
-         let occ = Compress.occupancy c c.baseline in
-         let ipc sched =
-           (Gpr_sim.Sim.run { cfg with scheduler = sched } ~trace
-              ~alloc:c.baseline ~blocks_per_sm:occ.Occ.blocks_per_sm
-              ~mode:Gpr_sim.Sim.Baseline).gpu_ipc
+         let ipc scheduler =
+           (snd (Simulate.on_machine { cfg with scheduler } baseline c Q.High))
+             .gpu_ipc
          in
          let gto = ipc Gpr_arch.Config.Gto and lrr = ipc Gpr_arch.Config.Lrr in
          [ name; Tab.fp ~digits:1 gto; Tab.fp ~digits:1 lrr;
@@ -610,14 +608,9 @@ let print_ablation_banks () =
     pmap
       (fun name ->
          let c = analyze name in
-         let data = Compress.threshold_data c Gpr_quality.Quality.High in
-         let trace = Simulate.trace_quantized c Gpr_quality.Quality.High in
-         let occ = Compress.occupancy c data.Compress.alloc_both in
-         let ipc banks =
-           (Gpr_sim.Sim.run { cfg with register_banks = banks } ~trace
-              ~alloc:data.Compress.alloc_both
-              ~blocks_per_sm:occ.Occ.blocks_per_sm
-              ~mode:(Gpr_sim.Sim.Proposed { writeback_delay = 3 })).gpu_ipc
+         let ipc register_banks =
+           (snd (Simulate.on_machine { cfg with register_banks } slice c Q.High))
+             .gpu_ipc
          in
          name :: List.map (fun b -> Tab.fp ~digits:1 (ipc b)) [ 4; 8; 16; 32 ])
       ablation_kernels
@@ -654,34 +647,17 @@ let print_ablation_split () =
 
 let print_volta_sim () =
   Tab.section "Sec. 7 extension: proposed register file on Volta V100";
-  let vcfg = Gpr_arch.Config.volta_v100 in
+  let on_volta b c =
+    let occ, st = Simulate.on_machine Gpr_arch.Config.volta_v100 b c Q.High in
+    (occ.Occ.blocks_per_sm, st.Gpr_sim.Sim.gpu_ipc)
+  in
   let rows =
     pmap
       (fun name ->
          let c = analyze name in
-         let w = Option.get (Registry.by_name name) in
-         let data = Compress.threshold_data c Gpr_quality.Quality.High in
-         let occ alloc =
-           Gpr_backend.Backend.occupancy vcfg
-             (Gpr_backend.Backend.plain_resources alloc)
-             ~warps_per_block:(Workload.warps_per_block w)
-             ~shared_bytes_per_block:(Workload.shared_bytes_per_block w)
-         in
-         let ob = occ c.baseline and op = occ data.Compress.alloc_both in
-         let base =
-           (Gpr_sim.Sim.run vcfg ~trace:(Simulate.trace_plain c)
-              ~alloc:c.baseline ~blocks_per_sm:ob.Occ.blocks_per_sm
-              ~mode:Gpr_sim.Sim.Baseline).gpu_ipc
-         in
-         let prop =
-           (Gpr_sim.Sim.run vcfg
-              ~trace:(Simulate.trace_quantized c Gpr_quality.Quality.High)
-              ~alloc:data.Compress.alloc_both
-              ~blocks_per_sm:op.Occ.blocks_per_sm
-              ~mode:(Gpr_sim.Sim.Proposed { writeback_delay = 3 })).gpu_ipc
-         in
-         [ name; string_of_int ob.Occ.blocks_per_sm;
-           string_of_int op.Occ.blocks_per_sm; Tab.fp ~digits:1 base;
+         let ob, base = on_volta baseline c in
+         let op, prop = on_volta slice c in
+         [ name; string_of_int ob; string_of_int op; Tab.fp ~digits:1 base;
            Tab.fp ~digits:1 prop;
            Tab.pct (100.0 *. ((prop /. base) -. 1.0)) ])
       ablation_kernels

@@ -1,43 +1,25 @@
-(** Timing-simulation wrappers over {!Gpr_sim.Sim} for the three
-    configurations the paper compares:
+(** Timing simulation of a workload under any registered register-file
+    scheme ({!Gpr_backend.Registry}) on the Fermi configuration.
 
-    - {e baseline}: conventional 32-bit register file at the original
-      occupancy;
-    - {e proposed}: the indirection-table register file at the
-      compressed occupancy (with configurable writeback delay,
-      Sec. 6.3);
-    - {e artificial}: the Table 1 control — the baseline register file
-      with occupancy artificially raised to the compressed level, i.e.
-      the upper bound an ideally free compression scheme could reach.
+    Every run is built from one private {e seat} per (kernel, scheme,
+    threshold): the scheme's resources, the plain or quantised trace
+    (quantised when the scheme consumes a precision assignment), the
+    occupancy, the admission demand and the sim mode.  A seat is built
+    at most once per process per triple, and only on a memo or store
+    miss.  The baseline and slice seats reuse the allocations
+    {!Compress.analyze} already holds; other schemes run their
+    [analyze].
 
-    Traces and simulation results are memoised per (kernel fingerprint,
-    architecture fingerprint, variant) in domain-safe tables; stats are
-    additionally persisted to the optional on-disk store, so a warm run
+    The paper's three configurations are seats too: {e baseline} is the
+    [baseline] scheme, {e proposed} the [slice] scheme, and
+    {e artificial} (the Table 1 control) the baseline seat run at the
+    slice seat's occupancy.
+
+    Traces and seats are memoised in memory, in domain-safe tables.
+    Stats, energy and co-scheduling results are memoised by (kernel
+    fingerprint, architecture fingerprint, scheme id+version, variant)
+    and persisted to the optional on-disk store, so a warm run
     re-executes neither the kernel nor the timing model. *)
-
-val baseline : Compress.t -> Gpr_sim.Sim.stats
-
-val proposed :
-  ?writeback_delay:int ->
-  Compress.t ->
-  Gpr_quality.Quality.threshold ->
-  Gpr_sim.Sim.stats
-
-val artificial : Compress.t -> Gpr_quality.Quality.threshold -> Gpr_sim.Sim.stats
-
-val backend_resources :
-  Gpr_backend.Backend.t ->
-  Compress.t ->
-  Gpr_quality.Quality.threshold ->
-  Gpr_backend.Backend.resources
-(** Run a scheme's [analyze] over the workload's precomputed range and
-    (when the scheme wants one) precision assignment at the given
-    threshold. *)
-
-val backend_occupancy :
-  Compress.t -> Gpr_backend.Backend.resources -> Gpr_arch.Occupancy.result
-(** Occupancy with both limits (registers, shared memory including
-    spill slots) taken from the scheme's resources. *)
 
 val backend :
   ?writeback_delay:int ->
@@ -45,31 +27,66 @@ val backend :
   Compress.t ->
   Gpr_quality.Quality.threshold ->
   Gpr_sim.Sim.stats
-(** Simulate the workload under any registered scheme: the quantised
-    trace when the scheme consumes precision, the plain trace
-    otherwise; occupancy and simulator mode from the scheme's
-    resources and cost model.  Memoised like the classic entries, with
-    the scheme's id+version in the key — [backend] on [Backend_slice]
-    reproduces [proposed] exactly. *)
+(** Simulate the workload under a scheme.  [writeback_delay] overrides
+    an indirection-table scheme's own delay (Fig. 12).  Store key
+    ["<kernel>/<arch>/backend/<scheme>/<threshold>/wb<delay or ->"]
+    under kind ["stats"]. *)
+
+val baseline : Compress.t -> Gpr_sim.Sim.stats
+(** [backend] on the [baseline] scheme at the high threshold (the
+    conventional file ignores the threshold). *)
+
+val proposed :
+  ?writeback_delay:int ->
+  Compress.t ->
+  Gpr_quality.Quality.threshold ->
+  Gpr_sim.Sim.stats
+(** [backend ?writeback_delay] on the [slice] scheme. *)
+
+val artificial : Compress.t -> Gpr_quality.Quality.threshold -> Gpr_sim.Sim.stats
+(** The Table 1 control: the baseline register file with occupancy
+    raised to the slice scheme's level, i.e. the upper bound an ideally
+    free compression scheme could reach. *)
+
+val footprint :
+  Gpr_backend.Backend.t ->
+  Compress.t ->
+  Gpr_quality.Quality.threshold ->
+  Gpr_backend.Backend.resources * Gpr_arch.Occupancy.result
+(** The seat's resources and Fermi occupancy (both limits: registers,
+    and shared memory including spill slots).  Never executes the
+    kernel. *)
+
+val warm : Gpr_backend.Backend.t -> Compress.t -> Gpr_quality.Quality.threshold -> unit
+(** Build the seat and its trace, so later runs of it re-simulate
+    without re-executing the kernel. *)
+
+val on_machine :
+  Gpr_arch.Config.t ->
+  Gpr_backend.Backend.t ->
+  Compress.t ->
+  Gpr_quality.Quality.threshold ->
+  Gpr_arch.Occupancy.result * Gpr_sim.Sim.stats
+(** An unmemoised run of the seat on another machine configuration
+    (the scheduler, bank and Volta ablations), with the occupancy
+    re-derived there from the seat's admission demand. *)
 
 val backend_energy :
-  ?writeback_delay:int ->
   Gpr_backend.Backend.t ->
   Compress.t ->
   Gpr_quality.Quality.threshold ->
   Gpr_area.Energy.report
 (** Register-file energy and energy-delay product of the workload under
     a scheme ({!Gpr_area.Energy}): warp-level access counts from the
-    memoised functional trace, cycles/double-fetches/conversions/spill
-    traffic from the memoised timing stats, mean occupied slices from
-    the scheme's allocation, and the GREENER gating input (mean live
+    seat's trace, cycles/double-fetches/conversions/spill traffic from
+    the memoised timing stats ({!backend}), mean occupied slices from
+    the seat's allocation, and the GREENER gating input (mean live
     share of an allocated register's program span) from
     {!Gpr_analysis.Liveness} — the conventional file gets no gating.
-    Memoised like the stats entries ("energy" payloads; engine
-    fingerprint /6). *)
+    Memoised like the stats ("energy" payloads; engine fingerprint
+    /6). *)
 
 val colocate :
-  ?writeback_delay:int ->
   ?waves:int ->
   ?policy:(module Gpr_sim.Sim_multi.POLICY) ->
   ?check:bool ->
@@ -78,9 +95,9 @@ val colocate :
   Gpr_quality.Quality.threshold ->
   Gpr_sim.Sim_multi.result
 (** Co-schedule a kernel set on one SM under the given scheme and
-    dispatch policy ({!Gpr_sim.Sim_multi}).  Each kernel contributes
-    [waves] waves of blocks at its {e isolated} occupancy, with the
-    admission demand taken from {!Gpr_backend.Backend.demand} — so the
+    dispatch policy ({!Gpr_sim.Sim_multi}).  Each kernel is seated with
+    [waves] waves of blocks at its {e isolated} occupancy and the
+    admission demand from {!Gpr_backend.Backend.demand}, so the
     co-scheduled run replays exactly the workload of the kernels'
     isolated runs, and co-residency gains come only from packing.
     Memoised like the stats entries, keyed by the ordered kernel-set
@@ -89,7 +106,6 @@ val colocate :
     memo. *)
 
 val profile_backend :
-  ?writeback_delay:int ->
   profile:Gpr_obs.Chrome.t ->
   Gpr_backend.Backend.t ->
   Compress.t ->
@@ -104,10 +120,4 @@ val clear_cache : unit -> unit
 (** Clears the in-memory memo tables only, never the on-disk store. *)
 
 val set_store : Gpr_engine.Store.t option -> unit
-(** Attach (or detach) an on-disk store for simulation stats. *)
-
-val trace_plain : Compress.t -> Gpr_exec.Trace.t
-(** Unquantised trace (memoised) — used by ablation sweeps. *)
-
-val trace_quantized :
-  Compress.t -> Gpr_quality.Quality.threshold -> Gpr_exec.Trace.t
+(** Attach (or detach) an on-disk store for simulation results. *)

@@ -282,8 +282,7 @@ let estimate_parts ~check (w : W.t) b =
   check ();
   let base = (Simulate.baseline c).Gpr_sim.Sim.gpu_ipc in
   check ();
-  let res = Simulate.backend_resources b c Q.High in
-  let occ = Simulate.backend_occupancy c res in
+  let res, occ = Simulate.footprint b c Q.High in
   check ();
   let st = Simulate.backend b c Q.High in
   (base, res, occ, st)

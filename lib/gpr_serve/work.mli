@@ -3,7 +3,7 @@
 
     Every handler calls exactly the functions the one-shot CLI verbs
     call ({!Gpr_core.Compress.analyze}, {!Gpr_core.Simulate.baseline} /
-    [backend_resources] / [backend_occupancy] / [backend],
+    [footprint] / [backend],
     {!Gpr_lint.Lint.lint}) so a payload served by the daemon is
     byte-identical to what the same pipeline produces in-process — the
     [gpr bench --serve --verify] invariant.

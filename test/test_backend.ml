@@ -176,6 +176,69 @@ let test_backends_never_share_cache_entries () =
       Alcotest.(check bool) "warm results identical" true
         (st1 = st1' && st2 = st2'))
 
+(* The paper's classic entry points are the registered schemes: a
+   [baseline] or [proposed] run and the matching [backend] run share one
+   store entry, so a cleared memo answers the second from the store. *)
+let test_classic_entries_are_backend_entries () =
+  let c = Compress.analyze (tiny_workload ()) in
+  let slice = Reg.find_exn "slice" in
+  List.iter
+    (fun (name, classic, b, th) ->
+      let s = Store.create ~dir:(fresh_dir ()) () in
+      Simulate.set_store (Some s);
+      Fun.protect
+        ~finally:(fun () ->
+          Simulate.set_store None;
+          Simulate.clear_cache ())
+        (fun () ->
+          let st = classic () in
+          Alcotest.(check (pair int int)) (name ^ ": cold run misses") (0, 1)
+            (Store.hits s, Store.misses s);
+          Simulate.clear_cache ();
+          let st' = Simulate.backend b c th in
+          Alcotest.(check (pair int int)) (name ^ ": backend run hits") (1, 1)
+            (Store.hits s, Store.misses s);
+          Alcotest.(check bool) (name ^ ": same stats") true (st = st')))
+    [
+      ("baseline", (fun () -> Simulate.baseline c), Reg.find_exn "baseline",
+       Q.High);
+      ("proposed perfect", (fun () -> Simulate.proposed c Q.Perfect), slice,
+       Q.Perfect);
+      ("proposed high", (fun () -> Simulate.proposed c Q.High), slice, Q.High);
+    ]
+
+(* The baseline and slice seats take their allocations from the
+   [Compress] record instead of running the schemes' [analyze]: both
+   must agree, allocation and occupancy, on a registry kernel. *)
+let test_seats_match_scheme_analyze () =
+  let c = Compress.analyze hotspot in
+  let bindings (a : Alloc.t) =
+    List.sort compare (Hashtbl.fold (fun r p acc -> (r, p) :: acc) a.placements [])
+  in
+  Fun.protect ~finally:Simulate.clear_cache (fun () ->
+      List.iter
+        (fun (name, th) ->
+          let b = Reg.find_exn name in
+          let module S = (val b : B.Scheme) in
+          let res =
+            S.analyze ~kernel:hotspot.kernel ~width:c.width
+              ~precision:
+                (Some (Compress.threshold_data c th).Compress.assignment)
+          in
+          let seat_res, seat_occ = Simulate.footprint b c th in
+          let what = name ^ "/" ^ Q.threshold_name th in
+          Alcotest.(check int) (what ^ " pressure") res.B.alloc.Alloc.pressure
+            seat_res.B.alloc.Alloc.pressure;
+          Alcotest.(check bool) (what ^ " placements") true
+            (bindings res.B.alloc = bindings seat_res.B.alloc);
+          Alcotest.(check bool) (what ^ " occupancy") true
+            (B.occupancy Gpr_arch.Config.fermi_gtx480 res
+               ~warps_per_block:(Gpr_workloads.Workload.warps_per_block hotspot)
+               ~shared_bytes_per_block:
+                 (Gpr_workloads.Workload.shared_bytes_per_block hotspot)
+            = seat_occ))
+        [ ("baseline", Q.High); ("slice", Q.Perfect); ("slice", Q.High) ])
+
 let test_version_bump_changes_key () =
   (* The scheme fingerprint is (id, version): bumping the version must
      move the scheme to a fresh cache key. *)
@@ -204,6 +267,10 @@ let () =
         [
           Alcotest.test_case "schemes never share cache entries" `Quick
             test_backends_never_share_cache_entries;
+          Alcotest.test_case "classic entries are backend entries" `Quick
+            test_classic_entries_are_backend_entries;
+          Alcotest.test_case "seats match scheme analyze" `Quick
+            test_seats_match_scheme_analyze;
           Alcotest.test_case "version bump changes key" `Quick
             test_version_bump_changes_key;
         ] );
