@@ -76,15 +76,7 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-let resolve_jobs n = if n <= 0 then Gpr_engine.Pool.default_jobs () else n
-
-let setup_store = function
-  | None -> None
-  | Some d ->
-    let s = Gpr_engine.Store.create ~dir:d () in
-    Compress.set_store (Some s);
-    Simulate.set_store (Some s);
-    Some s
+module Engine = Gpr_core.Engine
 
 (* Stats go to stderr so stdout stays byte-comparable across cold and
    warm runs (the CI smoke relies on this). *)
@@ -95,17 +87,12 @@ let print_store_stats = function
       (Gpr_engine.Store.hits s) (Gpr_engine.Store.misses s)
       (Gpr_engine.Store.dir s)
 
+let with_store cache_dir f =
+  let store = Engine.attach_store cache_dir in
+  Fun.protect ~finally:(fun () -> print_store_stats store) f
+
 let with_engine ~jobs ~cache_dir f =
-  let store = setup_store cache_dir in
-  let jobs = resolve_jobs jobs in
-  Fun.protect
-    ~finally:(fun () -> print_store_stats store)
-    (fun () ->
-       Gpr_engine.Pool.with_pool ~jobs (fun pool ->
-           Experiments.use_pool (Some pool);
-           Fun.protect
-             ~finally:(fun () -> Experiments.use_pool None)
-             (fun () -> f ())))
+  with_store cache_dir (fun () -> Engine.with_pool ~jobs f)
 
 (* ---------------- list ---------------- *)
 
@@ -125,8 +112,7 @@ let list_cmd =
 
 let pressure_cmd =
   let run name cache_dir =
-    let store = setup_store cache_dir in
-    Fun.protect ~finally:(fun () -> print_store_stats store) @@ fun () ->
+    with_store cache_dir @@ fun () ->
     let w = find_workload name in
     let c = Compress.analyze w in
     Tab.print
@@ -167,8 +153,7 @@ let sim_cmd =
                    default: the slice scheme's own (3 cycles).")
   in
   let run name delay cache_dir =
-    let store = setup_store cache_dir in
-    Fun.protect ~finally:(fun () -> print_store_stats store) @@ fun () ->
+    with_store cache_dir @@ fun () ->
     let w = find_workload name in
     let c = Compress.analyze w in
     let b = Simulate.baseline c in
@@ -238,10 +223,10 @@ let report_cmd =
   let what =
     Arg.(value & pos 0 string "all"
          & info [] ~docv:"WHAT"
-             ~doc:"One of: all, table1, table2, table3, table4, fig8, fig9, \
-                   fig10, fig11, fig12, area, power, volta, volta-sim, \
-                   ablations — or a kernel name from $(b,gpr list) for a \
-                   per-scheme comparison (see $(b,--backend)).")
+             ~doc:("One of: all, "
+                   ^ String.concat ", " (List.map fst Experiments.sections)
+                   ^ ", volta-sim — or a kernel name from $(b,gpr list) for \
+                      a per-scheme comparison (see $(b,--backend))."))
   in
   let pareto =
     Arg.(value & flag
@@ -284,21 +269,9 @@ let report_cmd =
     | "all" when backends <> [ "slice" ] ->
       Experiments.print_backend_comparison schemes
     | "all" -> Experiments.print_all ()
-    | "table1" -> Experiments.print_table1 ()
-    | "table2" -> Experiments.print_table2 ()
-    | "table3" -> Experiments.print_table3 ()
-    | "table4" -> Experiments.print_table4 ()
-    | "fig8" -> Experiments.print_fig8 ()
-    | "widths" -> Experiments.print_width_report ()
-    | "fig9" -> Experiments.print_fig9 ()
-    | "fig10" -> Experiments.print_fig10 ()
-    | "fig11" -> Experiments.print_fig11 ()
-    | "fig12" -> Experiments.print_fig12 ()
-    | "area" -> Experiments.print_area ()
-    | "power" -> Experiments.print_power ()
-    | "volta" -> Experiments.print_volta ()
-    | "ablations" -> Experiments.print_ablations ()
     | "volta-sim" -> Experiments.print_volta_sim ()
+    | other when List.mem_assoc other Experiments.sections ->
+      List.assoc other Experiments.sections ()
     | other when Registry.by_name other <> None ->
       Experiments.print_backend_comparison ~names:[ other ] schemes
     | other ->
@@ -420,7 +393,7 @@ let check_cmd =
     (* Resolve eagerly for the clean unknown-name message; the runner
        re-validates before the campaign starts. *)
     ignore (resolve_backends backends);
-    let jobs = resolve_jobs jobs in
+    let jobs = Engine.jobs jobs in
     let progress s =
       if (s - seed) mod 25 = 0 && s <> seed then
         Printf.printf "  ... %d/%d seeds clean\n%!" (s - seed) count
@@ -567,8 +540,7 @@ let profile_cmd =
     Arg.(value & opt int 200_000 & info [ "max-events" ] ~docv:"N" ~doc)
   in
   let run name bname trace_file max_events cache_dir =
-    let store = setup_store cache_dir in
-    Fun.protect ~finally:(fun () -> print_store_stats store) @@ fun () ->
+    with_store cache_dir @@ fun () ->
     let w = find_workload name in
     let b =
       match resolve_backends [ bname ] with [ b ] -> b | _ -> assert false
@@ -787,18 +759,10 @@ let serve_cmd =
   let run socket jobs queue_depth deadline max_frame debug_sleep cache_dir
       cache_max_entries cache_max_bytes =
     let store =
-      match cache_dir with
-      | None -> None
-      | Some d ->
-        let s =
-          Gpr_engine.Store.create ?max_entries:cache_max_entries
-            ?max_bytes:cache_max_bytes ~dir:d ()
-        in
-        Compress.set_store (Some s);
-        Simulate.set_store (Some s);
-        Some s
+      Engine.attach_store ?max_entries:cache_max_entries
+        ?max_bytes:cache_max_bytes cache_dir
     in
-    let workers = resolve_jobs jobs in
+    let workers = Engine.jobs jobs in
     let cfg =
       { Gpr_serve.Server.workers; queue_depth; default_deadline_ms = deadline;
         max_frame_bytes = max_frame; store; debug_sleep }
@@ -839,8 +803,9 @@ let bench_cmd =
   let serve_flag =
     Arg.(value & flag
          & info [ "serve" ]
-             ~doc:"Benchmark the serve daemon (the only mode; \
-                   microbenchmarks live in bench/).")
+             ~doc:"Benchmark the serve daemon (the only mode; the \
+                   evaluation and microbenchmarks are the sections of \
+                   bench/main.exe).")
   in
   let attach =
     Arg.(value & flag
@@ -903,7 +868,8 @@ let bench_cmd =
     if not serve_flag then begin
       Printf.eprintf
         "gpr bench currently only benchmarks the daemon: pass --serve \
-         (microbenchmarks live in bench/main.exe)\n";
+         (the evaluation and microbenchmarks are the sections of \
+         bench/main.exe: dune exec bench/main.exe -- paper micro)\n";
       exit 2
     end;
     (* Resolve names eagerly for the clean unknown-name messages. *)
@@ -917,7 +883,7 @@ let bench_cmd =
           (Printf.sprintf "gpr-serve-%d.sock" (Unix.getpid ()))
     in
     let cfg =
-      { Load.socket; attach; daemon_jobs = resolve_jobs jobs; queue_depth;
+      { Load.socket; attach; daemon_jobs = Engine.jobs jobs; queue_depth;
         deadline_ms = deadline; cache_dir; requests; concurrency;
         duplicate_ratio; kernels; backends; verbs; seed;
         out = Some out; verify }

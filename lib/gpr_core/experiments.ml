@@ -755,18 +755,22 @@ let print_ablations () =
   print_ablation_split ();
   print_volta_sim ()
 
-let print_all () =
-  print_table2 ();
-  print_table3 ();
-  print_fig8 ();
-  print_width_report ();
-  print_table4 ();
-  print_table1 ();
-  print_fig9 ();
-  print_fig10 ();
-  print_fig11 ();
-  print_fig12 ();
-  print_area ();
-  print_power ();
-  print_volta ();
-  print_ablations ()
+let sections =
+  [
+    ("table2", print_table2);
+    ("table3", print_table3);
+    ("fig8", print_fig8);
+    ("widths", print_width_report);
+    ("table4", print_table4);
+    ("table1", print_table1);
+    ("fig9", print_fig9);
+    ("fig10", print_fig10);
+    ("fig11", print_fig11);
+    ("fig12", print_fig12);
+    ("area", print_area);
+    ("power", print_power);
+    ("volta", print_volta);
+    ("ablations", print_ablations);
+  ]
+
+let print_all () = List.iter (fun (_, print) -> print ()) sections

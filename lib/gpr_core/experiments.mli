@@ -179,5 +179,9 @@ val print_volta_sim : unit -> unit
 
 val print_ablations : unit -> unit
 
+val sections : (string * (unit -> unit)) list
+(** The full reproduction, in paper order, plus the ablations: one
+    printer per report, under its [gpr report] name. *)
+
 val print_all : unit -> unit
-(** The full reproduction, in paper order, plus the ablations. *)
+(** Prints every entry of {!sections}, in order. *)
