@@ -13,9 +13,10 @@
    registry-wide stall breakdown with the metrics snapshot taken when
    the section ends to BENCH_obs.json.
 
-   [lint] times the static verifier per pass (BENCH_lint.json), [micro]
-   runs Bechamel micro-benchmarks of the core components, [sim] times
-   the flat simulator against the reference engine (BENCH_sim.json),
+   [lint] times the static verifier per kernel and per pass
+   (BENCH_lint.json), [micro] runs Bechamel micro-benchmarks of the
+   core components, [sim] times the flat simulator against the
+   reference engine (BENCH_sim.json),
    [analysis] the dataflow analyses (BENCH_analysis.json), [coloc]
    co-schedules registry kernel pairs (BENCH_coloc.json) and [faults]
    sweeps permanent register-file defects (BENCH_faults.json).  Only
@@ -677,8 +678,10 @@ let faults _ : artifacts =
       ]
 
 (* ---------------------------------------------------------------- *)
-(* lint: per-pass static-verifier time over the Table 4 registry plus
-   the diagnostic counts. *)
+(* lint: per-kernel and per-pass static-verifier time over the Table 4
+   registry plus the diagnostic counts.  A kernel's [make_ctx_us] and
+   [lint_us] (context plus every pass, i.e. [Lint.lint]) are medians of
+   11 runs. *)
 
 let lint _ : artifacts =
   let module L = Gpr_lint.Lint in
@@ -705,8 +708,27 @@ let lint _ : artifacts =
         (p.p_name, secs *. 1e6 /. float_of_int reps, List.length diags))
       L.passes
   in
+  let median_us f =
+    let samples = Array.init 11 (fun _ -> snd (timed f) *. 1e6) in
+    Array.sort compare samples;
+    samples.(5)
+  in
+  let per_kernel =
+    List.map
+      (fun (w : W.t) ->
+        let buffer_len = W.buffer_len w in
+        ( w.name,
+          median_us (fun () -> L.make_ctx ~buffer_len w.kernel ~launch:w.launch),
+          median_us (fun () -> L.lint ~buffer_len w.kernel ~launch:w.launch) ))
+      workloads
+  in
   let all = List.concat_map L.run ctxs in
   let count sev = D.count sev all in
+  List.iter
+    (fun (name, ctx_us, us) ->
+      Printf.eprintf "[lint %-12s make_ctx %8.1f us  lint %8.1f us]\n" name
+        ctx_us us)
+    per_kernel;
   List.iter
     (fun (name, us, n) ->
       Printf.eprintf "[lint %-12s %10.1f us  %4d diagnostic(s)]\n" name us n)
@@ -720,6 +742,17 @@ let lint _ : artifacts =
           [
             ("kernels", J.Int (List.length workloads));
             ("make_ctx_us", fixed 1 (ctx_secs *. 1e6));
+            ( "per_kernel",
+              J.Arr
+                (List.map
+                   (fun (name, ctx_us, us) ->
+                     J.Obj
+                       [
+                         ("kernel", J.Str name);
+                         ("make_ctx_us", fixed 1 ctx_us);
+                         ("lint_us", fixed 1 us);
+                       ])
+                   per_kernel) );
             ( "diagnostics",
               J.Obj
                 [

@@ -481,16 +481,13 @@ let lint_cmd =
             let launch = Gpr_isa.Types.launch_1d ~block ~grid in
             [ (kernel, L.lint kernel ~launch) ])
     in
-    if json then begin
-      let chunks =
-        List.map
-          (fun ((k : Gpr_isa.Types.kernel), ds) ->
-            List.map (D.to_json ~kernel_name:k.k_name) (List.sort D.compare ds))
-          targets
-        |> List.concat
-      in
-      print_endline ("[" ^ String.concat "," chunks ^ "]")
-    end
+    if json then
+      print_endline
+        (Gpr_obs.Json.to_string
+           (D.list_to_json
+              (List.map
+                 (fun ((k : Gpr_isa.Types.kernel), ds) -> (k.k_name, ds))
+                 targets)))
     else
       List.iter
         (fun ((k : Gpr_isa.Types.kernel), ds) ->

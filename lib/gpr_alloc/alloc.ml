@@ -128,12 +128,22 @@ let m_pressure =
   Gpr_obs.Metrics.histogram ~buckets:[ 4; 8; 12; 16; 20; 24; 28; 32; 48; 64 ]
     "alloc.pressure"
 
-let run ?(allow_split = true) ?(exclude = fun _ -> false) kernel ~width_of =
-  let live = Gpr_analysis.Liveness.compute kernel in
-  let intervals = Gpr_analysis.Liveness.intervals live in
-  (* Recover each variable's vreg record for typing. *)
-  let vregs = Hashtbl.create 64 in
-  let note (r : vreg) = Hashtbl.replace vregs r.id r in
+let ty_index = function S32 -> 0 | U32 -> 1 | F32 -> 2 | Pred -> 3
+
+let run ?(allow_split = true) ?(exclude = fun _ -> false) ?intervals kernel
+    ~width_of =
+  let intervals =
+    match intervals with
+    | Some ivs -> ivs
+    | None -> Gpr_analysis.Liveness.(intervals (compute kernel))
+  in
+  (* Recover each variable's vreg record for typing (the last one seen;
+     ids are below [k_num_vregs] by [Cfg.validate], [id = -1] marks an
+     id never seen). *)
+  let vregs = Array.make kernel.k_num_vregs { id = -1; ty = S32; name = "" } in
+  let note (r : vreg) = vregs.(r.id) <- r in
+  let known id = id >= 0 && id < Array.length vregs && vregs.(id).id >= 0 in
+  let vreg id = if known id then vregs.(id) else raise Not_found in
   Array.iter
     (fun blk ->
        Array.iter
@@ -144,7 +154,7 @@ let run ?(allow_split = true) ?(exclude = fun _ -> false) kernel ~width_of =
     kernel.k_blocks;
   List.iter
     (fun (id, s) ->
-       if not (Hashtbl.mem vregs id) then
+       if not (known id) then
          note { id; ty = S32; name = Gpr_isa.Builder.special_name s })
     kernel.k_specials;
 
@@ -153,57 +163,60 @@ let run ?(allow_split = true) ?(exclude = fun _ -> false) kernel ~width_of =
      (classic linear-scan reuse) so the kernel fits the 256-entry
      indirection table; names are typed so integer and float values
      never share an entry (the entry's signed/convert flags are
-     static).  Each name's width is the maximum over its values. *)
+     static).  Each name's width is the maximum over its values.
+     Names are dense, so their type and width sit in arrays with at
+     most one slot per interval. *)
   let var_name = Hashtbl.create 64 in       (* var -> arch name id *)
-  let name_info = Hashtbl.create 64 in      (* name -> (ty, max bits) *)
-  let free_names : (dtype, int list ref) Hashtbl.t = Hashtbl.create 4 in
+  let max_names = List.length intervals in
+  let name_ty = Array.make max_names S32 in
+  let name_bits = Array.make max_names 0 in
+  let free_names = Array.make 4 [] in       (* by [ty_index] *)
   let next_name = ref 0 in
-  let active = ref [] in                    (* (stop, name, ty) *)
+  (* Live names wait in a bucket per stop point, newest first.  A name
+     returns to its pool once its stop is <= the current start; names
+     freed together go back oldest-on-top, as a newest-first scan of
+     the live set pushing each in turn leaves them. *)
+  let max_stop = List.fold_left (fun m (_, _, stop) -> max m stop) 0 intervals in
+  let dying = Array.make (max_stop + 1) [] in  (* (seq, name) *)
+  let released = ref 0 in                       (* stops below are free *)
+  let seq = ref 0 in
   let release_names now =
-    let dead, alive = List.partition (fun (stop, _, _) -> stop <= now) !active in
-    List.iter
-      (fun (_, name, ty) ->
-         let pool =
-           match Hashtbl.find_opt free_names ty with
-           | Some l -> l
-           | None ->
-             let l = ref [] in
-             Hashtbl.replace free_names ty l;
-             l
-         in
-         pool := name :: !pool)
-      dead;
-    active := alive
+    if now >= !released then begin
+      let dead = ref [] in
+      for p = !released to min now max_stop do
+        dead := List.rev_append dying.(p) !dead;
+        dying.(p) <- []
+      done;
+      released := now + 1;
+      List.sort (fun (a, _) (b, _) -> compare b a) !dead
+      |> List.iter (fun (_, name) ->
+          let i = ty_index name_ty.(name) in
+          free_names.(i) <- name :: free_names.(i))
+    end
   in
   List.iter
     (fun (var, start, stop) ->
        if not (exclude var) then begin
          release_names start;
-         let r = Hashtbl.find vregs var in
+         let r = vreg var in
          let bits = max 1 (min 32 (width_of r)) in
          let name =
-           let pool =
-             match Hashtbl.find_opt free_names r.ty with
-             | Some l -> l
-             | None ->
-               let l = ref [] in
-               Hashtbl.replace free_names r.ty l;
-               l
-           in
-           match !pool with
+           let i = ty_index r.ty in
+           match free_names.(i) with
            | n :: rest ->
-             pool := rest;
+             free_names.(i) <- rest;
+             name_bits.(n) <- max name_bits.(n) bits;
              n
            | [] ->
              let n = !next_name in
              incr next_name;
+             name_ty.(n) <- r.ty;
+             name_bits.(n) <- bits;
              n
          in
          Hashtbl.replace var_name var name;
-         (match Hashtbl.find_opt name_info name with
-          | Some (ty, b) -> Hashtbl.replace name_info name (ty, max b bits)
-          | None -> Hashtbl.replace name_info name (r.ty, bits));
-         active := (stop, name, r.ty) :: !active
+         incr seq;
+         dying.(stop) <- (!seq, name) :: dying.(stop)
        end)
     intervals;
 
@@ -212,51 +225,45 @@ let run ?(allow_split = true) ?(exclude = fun _ -> false) kernel ~width_of =
      is configured once per kernel, Sec. 3.2), so slices are not reused
      over time; first-fit with an optional split over two registers. *)
   let pool = pool_create () in
-  let name_placement = Hashtbl.create 64 in
   let split_count = ref 0 in
-  let names =
-    Hashtbl.fold (fun n info acc -> (n, info) :: acc) name_info []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let name_placement =
+    Array.init !next_name (fun name ->
+        let ty = name_ty.(name) and bits = name_bits.(name) in
+        let slices = Bits.slices_of_bits bits in
+        let whole reg =
+          let mask = alloc_in pool reg slices in
+          { reg0 = reg; mask0 = mask; reg1 = -1; mask1 = 0; slices; bits;
+            signed = (ty = S32); is_float = (ty = F32) }
+        in
+        let rec place () =
+          match find_fit_partial pool slices with
+          | Some reg -> whole reg
+          | None ->
+            (match (if allow_split then find_split pool slices else None) with
+             | Some (r0, n0, r1, n1) ->
+               let m0 = alloc_in pool r0 n0 in
+               let m1 = alloc_in pool r1 n1 in
+               incr split_count;
+               { reg0 = r0; mask0 = m0; reg1 = r1; mask1 = m1; slices; bits;
+                 signed = (ty = S32); is_float = (ty = F32) }
+             | None ->
+               (match find_fresh pool with
+                | Some reg -> whole reg
+                | None ->
+                  pool_grow pool;
+                  place ()))
+        in
+        place ())
   in
-  List.iter
-    (fun (name, ((ty : dtype), bits)) ->
-       let slices = Bits.slices_of_bits bits in
-       let whole reg =
-         let mask = alloc_in pool reg slices in
-         { reg0 = reg; mask0 = mask; reg1 = -1; mask1 = 0; slices; bits;
-           signed = (ty = S32); is_float = (ty = F32) }
-       in
-       let rec place () =
-         match find_fit_partial pool slices with
-         | Some reg -> whole reg
-         | None ->
-           (match (if allow_split then find_split pool slices else None) with
-            | Some (r0, n0, r1, n1) ->
-              let m0 = alloc_in pool r0 n0 in
-              let m1 = alloc_in pool r1 n1 in
-              incr split_count;
-              { reg0 = r0; mask0 = m0; reg1 = r1; mask1 = m1; slices; bits;
-                signed = (ty = S32); is_float = (ty = F32) }
-            | None ->
-              (match find_fresh pool with
-               | Some reg -> whole reg
-               | None ->
-                 pool_grow pool;
-                 place ()))
-       in
-       Hashtbl.replace name_placement name (place ()))
-    names;
 
   (* Per-variable view: a variable's placement is its name's. *)
   let placements = Hashtbl.create 64 in
   Hashtbl.iter
     (fun var name ->
-       match Hashtbl.find_opt name_placement name with
-       | Some p ->
-         let r = Hashtbl.find vregs var in
-         (* Keep the variable's own signedness for the read path. *)
-         Hashtbl.replace placements var { p with signed = (r.ty = S32) }
-       | None -> ())
+       let r = vreg var in
+       (* Keep the variable's own signedness for the read path. *)
+       Hashtbl.replace placements var
+         { (name_placement.(name)) with signed = (r.ty = S32) })
     var_name;
 
   let t =

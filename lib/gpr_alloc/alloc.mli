@@ -43,6 +43,7 @@ type t = {
 val run :
   ?allow_split:bool ->
   ?exclude:(int -> bool) ->
+  ?intervals:(int * int * int) list ->
   Gpr_isa.Types.kernel ->
   width_of:(Gpr_isa.Types.vreg -> int) ->
   t
@@ -54,7 +55,9 @@ val run :
     [exclude] (default none) drops a virtual register from allocation
     entirely — it gets no architectural name, no placement and adds no
     pressure; spilling backends use this to keep cold live ranges out
-    of the register file. *)
+    of the register file.  [intervals] supplies the kernel's
+    {!Gpr_analysis.Liveness.intervals} when the caller already has
+    them. *)
 
 val baseline : Gpr_isa.Types.kernel -> t
 (** All widths forced to 32 bits: the conventional register file. *)

@@ -119,26 +119,104 @@ let iter_points t f =
     t.order;
   !next
 
-let num_points t = iter_points t (fun _ _ -> ())
+let num_points t =
+  Array.fold_left
+    (fun n b -> n + Array.length t.kernel.k_blocks.(b).instrs + 1)
+    0 t.order
 
 let max_live t =
   let m = ref 0 in
   let _ = iter_points t (fun _ live -> m := max !m (Iset.cardinal live)) in
   !m
 
+(* Interval hulls in one backward walk per block, on dense per-vreg
+   arrays: a variable enters the walk's live set at the terminator
+   (live-out), at a use or at its own def, and leaves it at a def or at
+   block entry (live-in), so only those events touch [lo]/[hi] -- no
+   per-point set.  Points are numbered as in [iter_points].
+
+   Order contract: sorted by start, and equal starts in the order the
+   original per-point [Hashtbl] fold produced, which the allocator's
+   name reuse (and so every placement downstream) depends on.  That
+   fold order is a function of the sequence in which variables were
+   first seen by [iter_points] (ascending id within one point), so
+   [first] records that sequence and replays it into the same table. *)
 let intervals t =
-  let lo = Hashtbl.create 64 and hi = Hashtbl.create 64 in
-  let _ =
-    iter_points t (fun p live ->
-        Iset.iter
-          (fun v ->
-             (match Hashtbl.find_opt lo v with
-              | None -> Hashtbl.replace lo v p
-              | Some l -> if p < l then Hashtbl.replace lo v p);
-             match Hashtbl.find_opt hi v with
-             | None -> Hashtbl.replace hi v (p + 1)
-             | Some h -> if p + 1 > h then Hashtbl.replace hi v (p + 1))
-          live)
+  let k = t.kernel in
+  (* Vreg ids are below [k_num_vregs] ([Cfg.validate]). *)
+  let n = k.k_num_vregs in
+  let lo = Array.make n max_int and hi = Array.make n (-1) in
+  let mark = Array.make n (-1) in          (* block whose walk has it live *)
+  let first = Array.make n 0 and nfirst = ref 0 in
+  (* [v] is live at point [p]: a first sighting joins [first]. *)
+  let touch_hi v p =
+    let h = hi.(v) in
+    if h < 0 then begin
+      first.(!nfirst) <- v;
+      incr nfirst
+    end;
+    if p + 1 > h then hi.(v) <- p + 1
   in
-  Hashtbl.fold (fun v l acc -> (v, l, Hashtbl.find hi v) :: acc) lo []
+  let touch_lo v p = if p < lo.(v) then lo.(v) <- p in
+  (* Variables first seen at one point were met in ascending id order. *)
+  let seg = ref 0 in
+  let end_point () =
+    for i = !seg + 1 to !nfirst - 1 do
+      let v = first.(i) in
+      let j = ref (i - 1) in
+      while !j >= !seg && first.(!j) > v do
+        first.(!j + 1) <- first.(!j);
+        decr j
+      done;
+      first.(!j + 1) <- v
+    done;
+    seg := !nfirst
+  in
+  let next = ref 0 in
+  Array.iter
+    (fun b ->
+       let blk = k.k_blocks.(b) in
+       let ninstr = Array.length blk.instrs in
+       let base = !next in
+       next := base + ninstr + 1;
+       let enter (r : vreg) p =
+         if is_tracked r && mark.(r.id) <> b then begin
+           touch_hi r.id p;
+           mark.(r.id) <- b
+         end
+       in
+       (* terminator point *)
+       Iset.iter
+         (fun v ->
+            touch_hi v (base + ninstr);
+            mark.(v) <- b)
+         t.live_out.(b);
+       List.iter (fun r -> enter r (base + ninstr)) (term_uses blk.term);
+       end_point ();
+       for i = ninstr - 1 downto 0 do
+         let ins = blk.instrs.(i) in
+         let p = base + i in
+         (match defs ins with
+          | Some d when is_tracked d ->
+            touch_hi d.id p;
+            touch_lo d.id p;
+            mark.(d.id) <- -1
+          | _ -> ());
+         end_point ();
+         (* Uses are first live at the next point down: the previous
+            instruction's, or the block-entry point (also [base]). *)
+         match ins with
+         | Phi _ -> ()
+         | _ -> List.iter (fun r -> enter r (base + max (i - 1) 0)) (uses ins)
+       done;
+       (* block-entry point *)
+       end_point ();
+       Iset.iter (fun v -> touch_lo v base) t.live_in.(b))
+    t.order;
+  let seen = Hashtbl.create 64 in
+  for i = 0 to !nfirst - 1 do
+    (* [add] of a new key is [replace] without the bucket scan. *)
+    Hashtbl.add seen first.(i) ()
+  done;
+  Hashtbl.fold (fun v () acc -> (v, lo.(v), hi.(v)) :: acc) seen []
   |> List.sort (fun (_, l1, _) (_, l2, _) -> compare l1 l2)

@@ -609,7 +609,10 @@ let check_budget st =
    without a [quantize] table or past its end. *)
 let[@inline] format_of st s =
   match st.quantize with
-  | Some table when s.pc < Array.length table -> Array.unsafe_get table s.pc
+  | Some table when s.pc < Array.length table ->
+    (* guard: the [when] bounds [s.pc] above; a pc is an instruction
+       index, so never negative *)
+    Array.unsafe_get table s.pc
   | _ -> Gpr_fp.Format_.f32
 
 (* Register writes.  Without [on_write] a write is a bare store, so a

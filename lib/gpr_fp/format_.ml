@@ -146,6 +146,9 @@ let[@inline] quantize t x =
   else if a >= 0x1p-126 && a < 0x1p127 then begin
     (* 2^29 + 1 rounds to f32's 24 bits (a literal, not a boxed global);
        on the f32 normal range the result stays normal *)
+    (* guard for the three reads below: [t] is private, so it is one of
+       the Table 3 formats of [all]: [man_bits] in [4, 23] indexes the
+       24 splitters and [exp_bits] in [3, 8] the 9-entry bounds *)
     let q = split (Array.unsafe_get split_by_man t.man_bits) (split 536870913.0 x) in
     let aq = Float.abs q in
     if aq < Array.unsafe_get flush_by_exp t.exp_bits then (if x < 0.0 then -0.0 else 0.0)

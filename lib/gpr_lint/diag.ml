@@ -76,31 +76,22 @@ let to_string_quoted kernel d =
   | None -> base
   | Some q -> base ^ "\n    | " ^ q
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ~kernel_name d =
-  let instr =
-    match d.d_loc.l_instr with Some i -> string_of_int i | None -> "null"
-  in
-  Printf.sprintf
-    "{\"kernel\":\"%s\",\"code\":\"%s\",\"severity\":\"%s\",\"pass\":\"%s\",\"block\":%d,\"instr\":%s,\"message\":\"%s\"}"
-    (json_escape kernel_name) (json_escape d.d_code)
-    (severity_to_string d.d_severity)
-    (json_escape d.d_pass) d.d_loc.l_block instr (json_escape d.d_message)
+  let module J = Gpr_obs.Json in
+  J.Obj
+    [
+      ("kernel", J.Str kernel_name);
+      ("code", J.Str d.d_code);
+      ("severity", J.Str (severity_to_string d.d_severity));
+      ("pass", J.Str d.d_pass);
+      ("block", J.Int d.d_loc.l_block);
+      ("instr", match d.d_loc.l_instr with Some i -> J.Int i | None -> J.Null);
+      ("message", J.Str d.d_message);
+    ]
 
-let list_to_json ~kernel_name ds =
-  let ds = List.sort compare ds in
-  "[" ^ String.concat "," (List.map (to_json ~kernel_name) ds) ^ "]"
+let list_to_json targets =
+  Gpr_obs.Json.Arr
+    (List.concat_map
+       (fun (kernel_name, ds) ->
+         List.map (to_json ~kernel_name) (List.sort compare ds))
+       targets)

@@ -57,9 +57,11 @@ val to_string_quoted : kernel -> t -> string
 (** {!to_string} followed by an indented source quote when the location
     resolves to an instruction. *)
 
-val to_json : kernel_name:string -> t -> string
-(** One JSON object (no trailing newline) with fields [kernel], [code],
-    [severity], [pass], [block], [instr], [message]. *)
+val to_json : kernel_name:string -> t -> Gpr_obs.Json.t
+(** One JSON object with fields [kernel], [code], [severity], [pass],
+    [block], [instr] ([null] at a terminator), [message]. *)
 
-val list_to_json : kernel_name:string -> t list -> string
-(** JSON array of {!to_json} objects, sorted with {!compare}. *)
+val list_to_json : (string * t list) list -> Gpr_obs.Json.t
+(** One JSON array of {!to_json} objects: each kernel's diagnostics,
+    sorted with {!compare}, kernels in the order given.  [gpr lint
+    --json] and the daemon's lint payload both render this. *)

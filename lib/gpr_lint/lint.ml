@@ -23,6 +23,7 @@ type ctx = {
   range : Range.t;
   uni : U.t;
   live : Liveness.t;
+  intervals : (int * int * int) list;  (* [Liveness.intervals live] *)
   alloc : Alloc.t;
   buffer_len : string -> int option;
 }
@@ -43,8 +44,12 @@ let make_ctx ?(buffer_len = fun _ -> None) ?width_of ?alloc kernel ~launch =
   let width_of =
     match width_of with Some f -> f | None -> default_width width
   in
+  let live = Liveness.compute kernel in
+  let intervals = Liveness.intervals live in
   let alloc =
-    match alloc with Some a -> a | None -> Alloc.run kernel ~width_of
+    match alloc with
+    | Some a -> a
+    | None -> Alloc.run ~intervals kernel ~width_of
   in
   {
     kernel;
@@ -55,7 +60,8 @@ let make_ctx ?(buffer_len = fun _ -> None) ?width_of ?alloc kernel ~launch =
     width;
     range = width.Width.range;
     uni = U.analyze kernel ~launch;
-    live = Liveness.compute kernel;
+    live;
+    intervals;
     alloc;
     buffer_len;
   }
@@ -394,14 +400,13 @@ let required_bits ctx (r : vreg) =
     Width.var_bitwidth ctx.width r.id
   else 32
 
-let placement_regs (p : Alloc.placement) =
-  (p.reg0, p.mask0) :: (if p.reg1 >= 0 then [ (p.reg1, p.mask1) ] else [])
-
-let placements_overlap a b =
-  List.exists
-    (fun (ra, ma) ->
-      List.exists (fun (rb, mb) -> ra = rb && ma land mb <> 0) (placement_regs b))
-    (placement_regs a)
+let placements_overlap (a : Alloc.placement) (b : Alloc.placement) =
+  let share r1 m1 r2 m2 = r1 = r2 && m1 land m2 <> 0 in
+  share a.reg0 a.mask0 b.reg0 b.mask0
+  || (b.reg1 >= 0 && share a.reg0 a.mask0 b.reg1 b.mask1)
+  || a.reg1 >= 0
+     && (share a.reg1 a.mask1 b.reg0 b.mask0
+        || (b.reg1 >= 0 && share a.reg1 a.mask1 b.reg1 b.mask1))
 
 let compression_pass ctx =
   let sites = def_sites ctx in
@@ -448,29 +453,37 @@ let compression_pass ctx =
         | F32 | Pred -> ()))
     sites;
   (* Slice sharing is only sound between placements whose live intervals
-     are disjoint — check every simultaneously-live pair. *)
+     are disjoint — check every simultaneously-live pair.  The intervals
+     are sorted by start and non-empty, so the pairs live with [i] are
+     exactly the [j > i] that start before [i] stops. *)
   let ivals =
-    Liveness.intervals ctx.live
-    |> List.filter (fun (v, _, _) -> Alloc.lookup ctx.alloc v <> None)
+    List.filter_map
+      (fun (v, s, e) ->
+        match Alloc.lookup ctx.alloc v with
+        | Some p -> Some (v, s, e, p)
+        | None -> None)
+      ctx.intervals
     |> Array.of_list
   in
   let ni = Array.length ivals in
   for i = 0 to ni - 1 do
-    let v1, s1, e1 = ivals.(i) in
-    for j = i + 1 to ni - 1 do
-      let v2, s2, e2 = ivals.(j) in
-      if s2 >= e1 then ()
-      else if s1 < e2 && s2 < e1 then
-        match (Alloc.lookup ctx.alloc v1, Alloc.lookup ctx.alloc v2) with
-        | Some p1, Some p2 when placements_overlap p1 p2 ->
-          diags :=
-            diag "compression" "GL303" Diag.Error (loc_of v1)
-              "placements of %s and %s share register slices while both are \
-               live"
-              (name_of v1) (name_of v2)
-            :: !diags
-        | _ -> ()
-    done
+    let v1, _, e1, p1 = ivals.(i) in
+    let rec sweep j =
+      if j < ni then begin
+        let v2, s2, _, p2 = ivals.(j) in
+        if s2 < e1 then begin
+          if placements_overlap p1 p2 then
+            diags :=
+              diag "compression" "GL303" Diag.Error (loc_of v1)
+                "placements of %s and %s share register slices while both \
+                 are live"
+                (name_of v1) (name_of v2)
+              :: !diags;
+          sweep (j + 1)
+        end
+      end
+    in
+    sweep (i + 1)
   done;
   !diags
 

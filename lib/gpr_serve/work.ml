@@ -248,18 +248,13 @@ let run_plan_inline ~check kernel launch =
 let diags_payload kernel diags =
   let module D = Gpr_lint.Diag in
   let name = kernel.Gpr_isa.Types.k_name in
-  let arr =
-    match J.parse (D.list_to_json ~kernel_name:name diags) with
-    | Ok j -> j
-    | Error _ -> J.Arr []  (* unreachable: we emitted it *)
-  in
   J.Obj
     [
       ("kernel", J.Str name);
       ("errors", J.Int (D.count D.Error diags));
       ("warnings", J.Int (D.count D.Warning diags));
       ("info", J.Int (D.count D.Info diags));
-      ("diagnostics", arr);
+      ("diagnostics", D.list_to_json [ (name, diags) ]);
     ]
 
 let run_lint_registry ~check (w : W.t) =

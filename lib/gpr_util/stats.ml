@@ -67,11 +67,12 @@ let reference_slice () =
              (Float.to_int (x *. 1e6)))
   done;
   (* Four independent chains over cache-resident data: bound by issue
-     width and load ports, like the cycle engines' inner loops.  Every
-     index is below 4096, the array's length. *)
+     width and load ports, like the cycle engines' inner loops. *)
   let a = ref 0 and b = ref 1 and c = ref 2 and d = ref 3 in
   for _ = 1 to 2400 do
     for i = 0 to 1023 do
+      (* guard for the four reads: the loop bound [i <= 1023] keeps
+         [4 * i + 3 <= 4095], below [data]'s length of 4096 *)
       let x = Array.unsafe_get data (4 * i) in
       let y = Array.unsafe_get data ((4 * i) + 1) in
       let z = Array.unsafe_get data ((4 * i) + 2) in

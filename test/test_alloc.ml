@@ -212,6 +212,96 @@ let test_workload_allocs_fit_arch_table () =
          true (A.fits_arch_table alloc))
     Gpr_workloads.Registry.all
 
+(* Placement pins: every field of every placement, in the table's
+   iteration order (which downstream consumers fold over), plus the
+   summary counts.  Two width functions: the width analysis's (as lint
+   audits) and a scrambled one that makes names of mixed widths merge,
+   so the order names return to their pools shows. *)
+let alloc_digest (t : A.t) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%d %d %d %d|" t.pressure t.num_arch_regs t.peak_slices
+    t.split_count;
+  Hashtbl.iter
+    (fun v (p : A.placement) ->
+      Printf.bprintf b "%d:%d,%x,%d,%x,%d,%d,%b,%b;" v p.reg0 p.mask0 p.reg1
+        p.mask1 p.slices p.bits p.signed p.is_float)
+    t.placements;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let analysed_widths kernel ~launch =
+  let w = Gpr_analysis.Width.analyze kernel ~launch in
+  fun (r : vreg) ->
+    match r.ty with
+    | Pred | F32 -> 32
+    | S32 | U32 -> Gpr_analysis.Width.var_bitwidth w r.id
+
+let scrambled_widths (r : vreg) = 1 + (r.id * 7919 mod 32)
+
+let registry_pins =
+  [
+    ( "deferred",
+      "1b2b7b3975855a17154023f10a6a2141",
+      "9e769afe8d986fe1d5fc2de042a447f1" );
+    ( "ssao",
+      "b98e7305137b3a0270ef839c1d320846",
+      "370a181b19741650fe45b626d3cf1402" );
+    ( "elevated",
+      "9fa4e03debb64e247fe194e0e63de789",
+      "f40bd04b292e4584928e3c16778537d7" );
+    ( "pathtracer",
+      "5b9748d1721b848613a49b9b704b233b",
+      "f5c78f24894cd6f36a97ef58d259c347" );
+    ( "cfd",
+      "67584ecf289aa93372b328ef125dc944",
+      "c50bcbde286072dad7cd0ce5940c655b" );
+    ( "dwt2d",
+      "84fdae47c5278c61637ab539b81e7285",
+      "fa796ce6b1b06d70bdf8f058dd00c0f2" );
+    ( "hotspot",
+      "60b4ba80a7e4406b06c60fd310adb97a",
+      "70ca5df7711657bb38842bd2a969d629" );
+    ( "hotspot3d",
+      "39b53e3c794fa9c0e864162c0af49626",
+      "71362d8fa15c9a87c7df55be34696987" );
+    ( "imgvf",
+      "078eea785eb727adf21e2ce10cbd2098",
+      "dd394e5b28f45bd9ffc27da250ee8020" );
+    ( "gicov",
+      "6b7f421147dd304d802479bad0e29c42",
+      "b5bf3ca000b7d43075b9fc58d89c9730" );
+    ( "hybridsort",
+      "5565308db6691955ccb30808c5751f8a",
+      "87812875f3c2883b2bed063e757bfc95" );
+  ]
+
+let test_registry_placement_pins () =
+  List.iter
+    (fun (w : Gpr_workloads.Workload.t) ->
+      let k = w.kernel in
+      let analysed, scrambled =
+        match List.find_opt (fun (n, _, _) -> n = k.k_name) registry_pins with
+        | Some (_, a, s) -> (a, s)
+        | None -> Alcotest.failf "no pin for %s" k.k_name
+      in
+      Alcotest.(check string) (k.k_name ^ " analysed widths") analysed
+        (alloc_digest (A.run k ~width_of:(analysed_widths k ~launch:w.launch)));
+      Alcotest.(check string) (k.k_name ^ " scrambled widths") scrambled
+        (alloc_digest (A.run k ~width_of:scrambled_widths)))
+    Gpr_workloads.Registry.all
+
+let test_generated_placement_pin () =
+  let b = Buffer.create 8192 in
+  for seed = 1 to 200 do
+    let c = Gpr_check.Gen.generate seed in
+    Buffer.add_string b
+      (alloc_digest (A.run c.kernel ~width_of:(analysed_widths c.kernel ~launch:c.launch)));
+    Buffer.add_string b
+      (alloc_digest (A.run ~allow_split:false c.kernel ~width_of:scrambled_widths))
+  done;
+  Alcotest.(check string) "200 generated kernels"
+    "26192599001d98de7c674d89d38abe39"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~verbose:false in
   Alcotest.run "alloc"
@@ -232,6 +322,10 @@ let () =
           Alcotest.test_case "splits counted" `Quick test_split_placements_counted;
           Alcotest.test_case "workloads fit table" `Quick
             test_workload_allocs_fit_arch_table;
+          Alcotest.test_case "registry placement pins" `Quick
+            test_registry_placement_pins;
+          Alcotest.test_case "generated placement pin" `Quick
+            test_generated_placement_pin;
         ] );
       ( "packing-props",
         [

@@ -251,6 +251,95 @@ let test_intervals_cover_defs () =
        Alcotest.(check bool) "interval nonempty" true (lo < hi))
     ivs
 
+(* The original construction of [Liveness.intervals], kept as the
+   oracle: a backward walk recording the live set at every program
+   point, then two [Hashtbl] updates per point per live variable.  The
+   order of equal starts (the fold order of [lo]) is part of the
+   contract. *)
+let intervals_reference kernel live =
+  let module S = A.Liveness.Iset in
+  let tracked (r : vreg) = r.ty <> Pred in
+  let add r s = if tracked r then S.add r.id s else s in
+  let lo = Hashtbl.create 64 and hi = Hashtbl.create 64 in
+  let note p set =
+    S.iter
+      (fun v ->
+        (match Hashtbl.find_opt lo v with
+        | None -> Hashtbl.replace lo v p
+        | Some l -> if p < l then Hashtbl.replace lo v p);
+        match Hashtbl.find_opt hi v with
+        | None -> Hashtbl.replace hi v (p + 1)
+        | Some h -> if p + 1 > h then Hashtbl.replace hi v (p + 1))
+      set
+  in
+  let next = ref 0 in
+  Array.iter
+    (fun b ->
+      let blk = kernel.k_blocks.(b) in
+      let base = !next and ninstr = Array.length blk.instrs in
+      next := base + ninstr + 1;
+      let live =
+        ref
+          (List.fold_left (fun s r -> add r s)
+             (A.Liveness.live_out live b) (term_uses blk.term))
+      in
+      note (base + ninstr) !live;
+      for i = ninstr - 1 downto 0 do
+        let ins = blk.instrs.(i) in
+        note (base + i)
+          (match defs ins with Some d -> add d !live | None -> !live);
+        (match defs ins with Some d -> live := S.remove d.id !live | None -> ());
+        match ins with
+        | Phi _ -> ()
+        | _ -> live := List.fold_left (fun s r -> add r s) !live (uses ins)
+      done;
+      note base !live)
+    (Cfg.reverse_postorder (Cfg.of_kernel kernel));
+  Hashtbl.fold (fun v l acc -> (v, l, Hashtbl.find hi v) :: acc) lo []
+  |> List.sort (fun (_, l1, _) (_, l2, _) -> compare l1 l2)
+
+let check_intervals_oracle what kernel =
+  let live = A.Liveness.compute kernel in
+  Alcotest.(check (list (triple int int int)))
+    (what ^ " intervals") (intervals_reference kernel live)
+    (A.Liveness.intervals live)
+
+let test_intervals_oracle_registry () =
+  List.iter
+    (fun (w : Gpr_workloads.Workload.t) ->
+      let k = w.Gpr_workloads.Workload.kernel in
+      check_intervals_oracle k.k_name k;
+      check_intervals_oracle (k.k_name ^ " ssa") (A.Ssa.convert k).kernel)
+    Gpr_workloads.Registry.all
+
+(* [n] variables read but never assigned: all live into the entry block,
+   so all start at point 0 and only the tie order separates them. *)
+let equal_starts_kernel n =
+  let b = Builder.create ~name:"ties" in
+  let open Builder in
+  let out = global_buffer b S32 "out" in
+  let tid = tid_x b in
+  let vs = List.init n (fun i -> var b S32 (Printf.sprintf "u%d" i)) in
+  let sum = List.fold_left (fun acc v -> iadd b ~$acc ~$v) tid vs in
+  st b out ~$tid ~$sum;
+  finish b
+
+let test_intervals_oracle_generated () =
+  List.iter
+    (fun n ->
+      check_intervals_oracle (Printf.sprintf "%d ties" n) (equal_starts_kernel n))
+    [ 5; 40; 100; 300 ];
+  for seed = 1 to 600 do
+    let c = Gpr_check.Gen.generate seed in
+    check_intervals_oracle (Printf.sprintf "seed %d" seed) c.kernel
+  done;
+  let rng = Gpr_util.Rng.create 17 in
+  for n = 1 to 40 do
+    check_intervals_oracle
+      (Printf.sprintf "random cfg %d" n)
+      (Gpr_check.Gen.random_cfg_kernel rng (1 + (n mod 12)))
+  done
+
 (* --------------------------------------------------------------- *)
 (* SSA structural properties *)
 
@@ -570,6 +659,10 @@ let () =
           Alcotest.test_case "basic" `Quick test_liveness_basic;
           Alcotest.test_case "loop carried" `Quick test_liveness_loop_carried;
           Alcotest.test_case "interval sanity" `Quick test_intervals_cover_defs;
+          Alcotest.test_case "intervals oracle registry" `Quick
+            test_intervals_oracle_registry;
+          Alcotest.test_case "intervals oracle generated" `Quick
+            test_intervals_oracle_generated;
         ] );
       ( "ssa",
         [

@@ -278,6 +278,174 @@ let test_compression_overlap () =
   let ds = L.run (L.make_ctx ~alloc k ~launch) in
   check_has k "GL303" ds
 
+(* GL303 completeness: the sorted sweep in the compression pass must
+   report exactly the pairs a naive all-pairs check over the same
+   intervals reports, in the same order. *)
+
+let vname (r : vreg) =
+  if r.name = "" then Printf.sprintf "%%r%d" r.id else "%" ^ r.name
+
+(* The original audit: every interval pair, live together and sharing a
+   slice of some register, consing a diagnostic per pair. *)
+let gl303_reference k (alloc : Gpr_alloc.Alloc.t) =
+  let sites = Hashtbl.create 64 in
+  Array.iter
+    (fun bi ->
+      Array.iteri
+        (fun i ins ->
+          match defs ins with
+          | Some d when not (Hashtbl.mem sites d.id) ->
+            Hashtbl.add sites d.id (vname d, D.instr_loc bi i)
+          | _ -> ())
+        k.k_blocks.(bi).instrs)
+    (Cfg.reverse_postorder (Cfg.of_kernel k));
+  let name v =
+    match Hashtbl.find_opt sites v with
+    | Some (n, _) -> n
+    | None -> Printf.sprintf "%%r%d" v
+  in
+  let loc v =
+    match Hashtbl.find_opt sites v with Some (_, l) -> l | None -> D.kernel_loc
+  in
+  let regs (p : Gpr_alloc.Alloc.placement) =
+    (p.reg0, p.mask0) :: (if p.reg1 >= 0 then [ (p.reg1, p.mask1) ] else [])
+  in
+  let share a b =
+    List.exists
+      (fun (ra, ma) -> List.exists (fun (rb, mb) -> ra = rb && ma land mb <> 0) (regs b))
+      (regs a)
+  in
+  let ivals =
+    Gpr_analysis.Liveness.(intervals (compute k))
+    |> List.filter (fun (v, _, _) -> Gpr_alloc.Alloc.lookup alloc v <> None)
+    |> Array.of_list
+  in
+  let out = ref [] in
+  Array.iteri
+    (fun i (v1, s1, e1) ->
+      for j = i + 1 to Array.length ivals - 1 do
+        let v2, s2, e2 = ivals.(j) in
+        let p1 = Option.get (Gpr_alloc.Alloc.lookup alloc v1)
+        and p2 = Option.get (Gpr_alloc.Alloc.lookup alloc v2) in
+        if s1 < e2 && s2 < e1 && share p1 p2 then
+          out :=
+            ( loc v1,
+              Printf.sprintf
+                "placements of %s and %s share register slices while both \
+                 are live"
+                (name v1) (name v2) )
+            :: !out
+      done)
+    ivals;
+  !out
+
+let gl303_of_pass k ~alloc =
+  let ctx = L.make_ctx ~alloc k ~launch:(launch_1d ~block:32 ~grid:1) in
+  let pass = List.find (fun p -> p.L.p_name = "compression") L.passes in
+  List.filter_map
+    (fun d -> if d.D.d_code = "GL303" then Some (d.D.d_loc, d.D.d_message) else None)
+    (pass.L.p_run ctx)
+
+let check_gl303 what k alloc =
+  let got = gl303_of_pass k ~alloc in
+  let want = gl303_reference k alloc in
+  Alcotest.(check int) (what ^ ": GL303 count") (List.length want) (List.length got);
+  Alcotest.(check bool) (what ^ ": GL303 diagnostics and order") true (got = want);
+  got
+
+let placement ?(reg1 = -1) ?(mask1 = 0) reg0 mask0 =
+  let slices = Gpr_util.Bits.popcount mask0 + Gpr_util.Bits.popcount mask1 in
+  {
+    Gpr_alloc.Alloc.reg0; mask0; reg1; mask1; slices; bits = 4 * slices;
+    signed = true; is_float = false;
+  }
+
+(* [n] values all live at the final reduction. *)
+let wide_kernel n =
+  let b = Builder.create ~name:"wide" in
+  let open Builder in
+  let out = global_buffer b S32 "out" in
+  let tid = tid_x b in
+  let vs = List.init n (fun i -> iadd b ~$tid (ci (i + 1))) in
+  let sum = List.fold_left (fun acc v -> iadd b ~$acc ~$v) tid vs in
+  st b out ~$tid ~$sum;
+  (finish b, vs)
+
+let test_gl303_one_slot () =
+  let k, vs = wide_kernel 12 in
+  let alloc = Gpr_alloc.Alloc.baseline k in
+  List.iter
+    (fun (v : vreg) -> Hashtbl.replace alloc.placements v.id (placement 100 0x0f))
+    vs;
+  let got = check_gl303 "one register and mask" k alloc in
+  Alcotest.(check int) "every pair of the 12 reported" (12 * 11 / 2)
+    (List.length got)
+
+let test_gl303_split_halves () =
+  let k, vs = wide_kernel 6 in
+  let alloc = Gpr_alloc.Alloc.baseline k in
+  let set (v : vreg) p = Hashtbl.replace alloc.placements v.id p in
+  (* Registers 101-106 are clear of the baseline placements of the
+     other values, and every register-0 half is distinct, so each
+     overlap below goes through a reg1/mask1 half. *)
+  (match vs with
+  | [ a; b; c; d; e; f ] ->
+    set a (placement 101 0x0f ~reg1:102 ~mask1:0x01);
+    set b (placement 102 0x01);  (* a.reg1 x b.reg0 *)
+    set c (placement 103 0x01 ~reg1:101 ~mask1:0x80);  (* silent: disjoint masks *)
+    set d (placement 104 0x01 ~reg1:101 ~mask1:0x01);  (* a.reg0 x d.reg1 *)
+    set e (placement 105 0x01 ~reg1:102 ~mask1:0x02);  (* silent *)
+    set f (placement 106 0x01 ~reg1:102 ~mask1:0x03)
+    (* a.reg1 x f.reg1, b.reg0 x f.reg1, e.reg1 x f.reg1 *)
+  | _ -> assert false);
+  let got = check_gl303 "split halves" k alloc in
+  Alcotest.(check int) "five overlaps through split halves" 5 (List.length got)
+
+let test_gl303_disjoint_lifetimes () =
+  let b = Builder.create ~name:"disjoint" in
+  let open Builder in
+  let out = global_buffer b S32 "out" in
+  let tid = tid_x b in
+  let x = iadd b ~$tid (ci 1) in
+  st b out ~$tid ~$x;
+  let y = iadd b ~$tid (ci 2) in
+  st b out ~$tid ~$y;
+  let k = finish b in
+  let alloc = Gpr_alloc.Alloc.baseline k in
+  (* y starts after x's last use: sharing x's slices is sound *)
+  (match Gpr_alloc.Alloc.lookup alloc x.id with
+  | Some px -> Hashtbl.replace alloc.placements y.id px
+  | None -> Alcotest.fail "x not placed");
+  let got = check_gl303 "disjoint lifetimes" k alloc in
+  Alcotest.(check int) "sharing between disjoint lifetimes is silent" 0
+    (List.length got)
+
+(* Generated kernels with every placement scrambled over four registers,
+   half of them split. *)
+let test_gl303_scrambled () =
+  let rng = Gpr_util.Rng.create 303 in
+  let total = ref 0 in
+  for seed = 1 to 60 do
+    let k = (Gpr_check.Gen.generate seed).kernel in
+    let alloc = Gpr_alloc.Alloc.baseline k in
+    let vars = Hashtbl.fold (fun v _ acc -> v :: acc) alloc.placements [] in
+    List.iter
+      (fun v ->
+        let mask () = 1 lsl Gpr_util.Rng.int rng 8 in
+        let p =
+          if Gpr_util.Rng.bool rng then placement (Gpr_util.Rng.int rng 4) (mask ())
+          else
+            placement (Gpr_util.Rng.int rng 4) (mask ())
+              ~reg1:(Gpr_util.Rng.int rng 4) ~mask1:(mask ())
+        in
+        Hashtbl.replace alloc.placements v p)
+      (List.sort compare vars);
+    total :=
+      !total
+      + List.length (check_gl303 (Printf.sprintf "seed %d" seed) k alloc)
+  done;
+  Alcotest.(check bool) "scrambled allocations report overlaps" true (!total > 0)
+
 let test_compression_negative () =
   let k = param_kernel () in
   let ds = L.lint k ~launch:(launch_1d ~block:32 ~grid:1) in
@@ -477,6 +645,33 @@ let test_registry_no_errors () =
         0 (List.length errs))
     Gpr_workloads.Registry.all
 
+(* [gpr lint all --json] renders [Diag.list_to_json] over the registry;
+   its bytes are pinned by digest (1882 diagnostics, 432512 bytes). *)
+let test_registry_json_pin () =
+  let targets =
+    List.map
+      (fun (w : Gpr_workloads.Workload.t) ->
+        ( w.kernel.k_name,
+          L.lint ~buffer_len:(Gpr_workloads.Workload.buffer_len w) w.kernel
+            ~launch:w.launch ))
+      Gpr_workloads.Registry.all
+  in
+  let text = Gpr_obs.Json.to_string (D.list_to_json targets) in
+  Alcotest.(check int) "bytes" 432512 (String.length text);
+  Alcotest.(check string) "digest" "5acb9520963ba077a99aa4f5b80fe23a"
+    (Digest.to_hex (Digest.string text))
+
+let test_json_escapes () =
+  let d =
+    {
+      D.d_code = "GL000"; d_severity = D.Warning; d_pass = "p";
+      d_loc = D.block_loc 3; d_message = "a\"b\\c\nd\re\tf\bg\012h\001";
+    }
+  in
+  Alcotest.(check string) "escaped object"
+    "{\"kernel\":\"k\",\"code\":\"GL000\",\"severity\":\"warning\",\"pass\":\"p\",\"block\":3,\"instr\":null,\"message\":\"a\\\"b\\\\c\\nd\\re\\tf\\bg\\fh\\u0001\"}"
+    (Gpr_obs.Json.to_string (D.to_json ~kernel_name:"k" d))
+
 (* ------------------------------------------------------------------ *)
 (* Soundness parity over generated kernels: Diff.check_lint raises
    Lint_unsound iff the dynamic monitor fires on a statically-clean
@@ -521,6 +716,14 @@ let () =
           Alcotest.test_case "malformed placement" `Quick
             test_compression_structural;
           Alcotest.test_case "overlap" `Quick test_compression_overlap;
+          Alcotest.test_case "GL303 one register and mask" `Quick
+            test_gl303_one_slot;
+          Alcotest.test_case "GL303 split halves" `Quick
+            test_gl303_split_halves;
+          Alcotest.test_case "GL303 disjoint lifetimes" `Quick
+            test_gl303_disjoint_lifetimes;
+          Alcotest.test_case "GL303 scrambled generated" `Quick
+            test_gl303_scrambled;
           Alcotest.test_case "negative" `Quick test_compression_negative;
         ] );
       ( "bounds",
@@ -551,6 +754,8 @@ let () =
           Alcotest.test_case "hazard corpus" `Quick test_hazard_corpus;
           Alcotest.test_case "clean kernel" `Quick test_clean_kernel;
           Alcotest.test_case "registry no errors" `Quick test_registry_no_errors;
+          Alcotest.test_case "registry JSON pin" `Quick test_registry_json_pin;
+          Alcotest.test_case "JSON escapes" `Quick test_json_escapes;
         ] );
       ("parity", [ QCheck_alcotest.to_alcotest prop_parity ]);
     ]
