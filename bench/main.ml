@@ -124,7 +124,7 @@ let micro_tests () =
     Test.make ~name:"sim.hotspot-baseline"
       (Staged.stage (fun () ->
            ignore
-             (Gpr_sim.Sim.run ~waves:1 Gpr_arch.Config.fermi_gtx480
+             (Gpr_sim.Sim.run_loop ~waves:1 Gpr_arch.Config.fermi_gtx480
                 ~trace:(Lazy.force trace) ~alloc:(Lazy.force halloc)
                 ~blocks_per_sm:4 ~mode:Gpr_sim.Sim.Baseline)));
   ]
@@ -284,8 +284,9 @@ let paper env : artifacts =
 
 (* ---------------------------------------------------------------- *)
 (* sim: every registered backend simulated over the kernels by the flat
-   engine and by the reference engine (a single-tenant [Sim_multi]
-   run), as cycles/sec per scheme.  The reference run doubles as an
+   engine's cycle loop ([Sim.run_loop], which never answers from an
+   earlier identical run) and by the reference engine (a single-tenant
+   [Sim_multi] run), as cycles/sec per scheme.  The reference run doubles as an
    in-bench equivalence audit: any stats divergence is the section's
    gate.  Each kernel row also records [Gpr_util.Stats.reference_slice]'s
    time, interleaved with that kernel's calls, so the tier-2
@@ -351,7 +352,7 @@ let sim env : artifacts =
               let mode = Backend.sim_mode scheme res in
               let alloc = res.Backend.alloc in
               let fast () =
-                Sim.run ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode
+                Sim.run_loop ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode
               in
               let slow () =
                 Gpr_sim.Sim_multi.single ~waves cfg ~trace ~alloc ~demand ~mode

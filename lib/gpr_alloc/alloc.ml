@@ -280,7 +280,7 @@ let run ?(allow_split = true) ?(exclude = fun _ -> false) ?intervals kernel
   Gpr_obs.Metrics.observe m_pressure t.pressure;
   t
 
-let baseline kernel = run kernel ~width_of:(fun _ -> 32)
+let baseline ?intervals kernel = run ?intervals kernel ~width_of:(fun _ -> 32)
 
 let fits_arch_table t =
   t.num_arch_regs <= Gpr_arch.Config.architectural_registers

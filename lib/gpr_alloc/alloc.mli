@@ -59,8 +59,9 @@ val run :
     {!Gpr_analysis.Liveness.intervals} when the caller already has
     them. *)
 
-val baseline : Gpr_isa.Types.kernel -> t
-(** All widths forced to 32 bits: the conventional register file. *)
+val baseline : ?intervals:(int * int * int) list -> Gpr_isa.Types.kernel -> t
+(** All widths forced to 32 bits: the conventional register file.
+    [intervals] as for {!run}. *)
 
 val fits_arch_table : t -> bool
 (** True when the kernel needs at most 256 architectural registers

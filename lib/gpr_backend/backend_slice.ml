@@ -17,20 +17,23 @@ let describe = "slice-compressed register file (the paper's scheme)"
 let needs_precision = true
 
 (* The per-variable width policy, shared with the ablation sweeps (and
-   re-exported by [Compress.width_fn] for compatibility). *)
-let width_fn ~narrow_ints ~narrow_floats ~width (r : vreg) =
-  match r.ty with
-  | Pred -> 32  (* excluded from allocation by liveness anyway *)
-  | F32 ->
-    (match narrow_floats with
-     | None -> 32
-     | Some asg ->
-       let bits = P.var_bits asg in
-       (match Hashtbl.find_opt bits r.id with Some b -> b | None -> 32))
-  | S32 | U32 ->
-    if narrow_ints && r.id < Array.length width.Width.var_bits
-    then Width.var_bitwidth width r.id
-    else 32
+   re-exported by [Compress.width_fn] for compatibility).  Apply it
+   partially once per allocation: the float widths per variable are
+   tabulated once per partial application. *)
+let width_fn ~narrow_ints ~narrow_floats ~width =
+  let float_bits = Option.map P.var_bits narrow_floats in
+  fun (r : vreg) ->
+    match r.ty with
+    | Pred -> 32  (* excluded from allocation by liveness anyway *)
+    | F32 ->
+      (match float_bits with
+       | None -> 32
+       | Some bits ->
+         (match Hashtbl.find_opt bits r.id with Some b -> b | None -> 32))
+    | S32 | U32 ->
+      if narrow_ints && r.id < Array.length width.Width.var_bits
+      then Width.var_bitwidth width r.id
+      else 32
 
 let analyze ~kernel ~width ~precision =
   Backend.plain_resources

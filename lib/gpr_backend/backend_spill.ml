@@ -63,13 +63,13 @@ let analyze ~kernel ~width:_ ~precision:_ =
            let c = compare (e' - s') (e - s) in
            if c <> 0 then c else compare (v, s) (v', s'))
   in
-  let baseline = Alloc.baseline kernel in
+  let baseline = Alloc.baseline ~intervals kernel in
   (* Aim to shed about a quarter of the baseline pressure, never
      dropping below 4 resident registers: enough to move the occupancy
      needle without starving the hot set. *)
   let target = max 4 (baseline.Alloc.pressure - ((baseline.Alloc.pressure + 3) / 4)) in
   let alloc_excluding spilled =
-    Alloc.run kernel
+    Alloc.run ~intervals kernel
       ~exclude:(fun v -> Hashtbl.mem spilled v)
       ~width_of:(fun _ -> 32)
   in

@@ -36,7 +36,7 @@ let tuning_knobs sites =
   let budget = if n > 96 then 200 else 140 in
   (min_group, budget)
 
-let tune_threshold (w : Workload.t) ~evaluate ~width threshold =
+let tune_threshold (w : Workload.t) ~evaluate ~width ~intervals threshold =
   let sites = Workload.float_sites w in
   let min_group, budget = tuning_knobs sites in
   let assignment =
@@ -44,11 +44,11 @@ let tune_threshold (w : Workload.t) ~evaluate ~width threshold =
   in
   let achieved_score = evaluate ~quantize:(P.quantizer assignment) in
   let alloc_float_only =
-    Alloc.run w.kernel
+    Alloc.run ~intervals w.kernel
       ~width_of:(width_fn ~narrow_ints:false ~narrow_floats:(Some assignment) ~width)
   in
   let alloc_both =
-    Alloc.run w.kernel
+    Alloc.run ~intervals w.kernel
       ~width_of:(width_fn ~narrow_ints:true ~narrow_floats:(Some assignment) ~width)
   in
   { assignment; achieved_score; alloc_float_only; alloc_both }
@@ -78,15 +78,17 @@ type stored = {
 let compute (w : Workload.t) =
   let reference = Workload.reference w in
   let width = Gpr_analysis.Width.analyze w.kernel ~launch:w.launch in
-  let baseline = Alloc.baseline w.kernel in
+  (* The six allocations share one liveness computation. *)
+  let intervals = Gpr_analysis.Liveness.(intervals (compute w.kernel)) in
+  let baseline = Alloc.baseline ~intervals w.kernel in
   let int_only =
-    Alloc.run w.kernel
+    Alloc.run ~intervals w.kernel
       ~width_of:(width_fn ~narrow_ints:true ~narrow_floats:None ~width)
   in
   (* One callback for both searches, so they share [P.tune]'s scores. *)
   let evaluate ~quantize = Workload.evaluate w ~reference ~quantize in
-  let perfect = tune_threshold w ~evaluate ~width Q.Perfect in
-  let high = tune_threshold w ~evaluate ~width Q.High in
+  let perfect = tune_threshold w ~evaluate ~width ~intervals Q.Perfect in
+  let high = tune_threshold w ~evaluate ~width ~intervals Q.High in
   { s_reference = reference; s_width = width; s_baseline = baseline;
     s_int_only = int_only; s_perfect = perfect; s_high = high }
 

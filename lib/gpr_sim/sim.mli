@@ -91,11 +91,25 @@ val run :
     [waves] (default 6) is the number of block waves fed through each
     resident slot; block traces are drawn round-robin from the grid.
 
-    The trace is packed for replay once and the packing reused by the
-    next run on the same trace in the same domain (keyed by the trace's
-    physical identity and [cfg.l1_line_bytes]; the memo never keeps a
-    trace alive).  So a trace must not be changed after its first run:
-    build a new one instead.
+    A run works in two steps.  It first derives everything the cycle
+    loop reads: [cfg], [waves], [blocks_per_sm], the mode as scalars
+    (proposed or not, writeback delay, spill latency), each register's
+    bank base, second bank (split placements), converter need and
+    spill residence, and the dead-bank remap of [faults].  The loop
+    then reads only those inputs and the trace's packing.
+
+    The trace is packed for replay once, and the packing is reused by
+    the next run on the same trace in the same domain (keyed by the
+    trace's physical identity and [cfg.l1_line_bytes]).  Beside the
+    packing the domain keeps the stats of the last few runs on that
+    trace, keyed by their derived inputs (structural equality).  A run
+    whose inputs equal a kept run's returns that run's stats record
+    (physically the same) without running the loop, and still adds the
+    [sim.*] counter amounts the loop would have added.  So rrcd without
+    faults, whose allocation equals slice's, costs one loop between
+    them.  [~check:true] and [~profile] always run the loop.  Nothing
+    here keeps a trace alive.  A trace must not be changed after its
+    first run: build a new one instead.
 
     With [~check:true] (default false) the model audits itself and
     raises {!Invariant_violation} if any of these break:
@@ -117,3 +131,19 @@ val run :
     µs), instant marks for barriers and for register-bank conflicts
     (pid 1, tid = bank).  Profiling does not perturb the timing
     model. *)
+
+val run_loop :
+  ?check:bool ->
+  ?waves:int ->
+  ?faults:Gpr_regfile.Fault.t list ->
+  ?profile:Gpr_obs.Chrome.t ->
+  Gpr_arch.Config.t ->
+  trace:Gpr_exec.Trace.t ->
+  alloc:Gpr_alloc.Alloc.t ->
+  blocks_per_sm:int ->
+  mode:regfile_mode ->
+  stats
+(** {!run} that always runs the cycle loop: it neither reads nor
+    keeps stats of earlier runs (the packing is still shared).  Equal
+    to {!run} on every input.  For harnesses that time the engine
+    itself. *)

@@ -558,8 +558,230 @@ let test_memo_two_domains () =
     [ d1; d2 ]
 
 (* ---------------------------------------------------------------- *)
+(* Run reuse: a run whose derived inputs equal a kept run's on the same
+   trace returns that run's stats record.  A hit is observable as
+   physical equality with an earlier result (a loop always builds a
+   fresh record), and every answer must equal [Sim.run_loop]'s. *)
+
+module Metrics = Gpr_obs.Metrics
+
+let fresh label (s : Sim.stats) ~seen =
+  if List.exists (fun x -> x == s) seen then
+    Alcotest.failf "%s: answered from a kept run" label
+
+let hit label (s : Sim.stats) (kept : Sim.stats) =
+  if s != kept then Alcotest.failf "%s: not answered from the kept run" label
+
+(* Hotspot's trace with its slice allocation, mode and occupancy. *)
+let hotspot_slice () =
+  let w = Option.get (Gpr_workloads.Registry.by_name "Hotspot") in
+  let trace = W.trace w ~quantize:None in
+  let width = Gpr_analysis.Width.analyze w.kernel ~launch:w.launch in
+  let scheme = Gpr_backend.Registry.find_exn "slice" in
+  let module S = (val scheme : Backend.Scheme) in
+  let res = S.analyze ~kernel:w.kernel ~width ~precision:None in
+  let occ =
+    Backend.occupancy cfg res ~warps_per_block:(W.warps_per_block w)
+      ~shared_bytes_per_block:(W.shared_bytes_per_block w)
+  in
+  (trace, res.Backend.alloc, Backend.sim_mode scheme res,
+   occ.Gpr_arch.Occupancy.blocks_per_sm)
+
+let sim_counters () =
+  List.filter_map
+    (function
+      | Metrics.Counter { name; count }
+        when String.starts_with ~prefix:"sim." name ->
+        Some (name, count)
+      | _ -> None)
+    (Metrics.snapshot ())
+
+let test_reuse_repeat () =
+  let trace, alloc, mode, blocks = hotspot_slice () in
+  let go () = Sim.run ~waves:1 cfg ~trace ~alloc ~blocks_per_sm:blocks ~mode in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  let c0 = sim_counters () in
+  let first = go () in
+  let c1 = sim_counters () in
+  let again = go () in
+  let c2 = sim_counters () in
+  Metrics.set_enabled was;
+  hit "repeat" again first;
+  let delta a b = List.map2 (fun (n, x) (_, y) -> (n, y - x)) a b in
+  Alcotest.(check (list (pair string int)))
+    "a repeat adds the loop's counter amounts" (delta c0 c1) (delta c1 c2);
+  Alcotest.(check bool) "the loop ran once" true
+    (List.assoc "sim.cycles" (delta c0 c1) = first.Sim.cycles);
+  Oracle.check_same "repeat = loop" again
+    (Sim.run_loop ~waves:1 cfg ~trace ~alloc ~blocks_per_sm:blocks ~mode)
+
+(* One call's worth of [Sim.run] arguments. *)
+type call = {
+  c_cfg : Gpr_arch.Config.t;
+  c_waves : int;
+  c_blocks : int;
+  c_mode : Sim.regfile_mode;
+  c_alloc : A.t;
+  c_faults : Gpr_regfile.Fault.t list;
+}
+
+(* [alloc] with register [r]'s placement moved to another register. *)
+let moved_placement (alloc : A.t) r =
+  let placements = Hashtbl.copy alloc.A.placements in
+  let p = Option.get (A.lookup alloc r) in
+  Hashtbl.replace placements r { p with A.reg0 = p.A.reg0 + 1 };
+  { alloc with A.placements }
+
+let test_reuse_key_parts () =
+  let trace, slice_alloc, _, _ = hotspot_slice () in
+  let spilled regs =
+    let t = Hashtbl.create 4 in
+    List.iter (fun r -> Hashtbl.replace t r ()) regs;
+    t
+  in
+  (* Two registers the trace reads; the allocation places the first. *)
+  let srcs =
+    Array.to_list trace.T.items
+    |> List.concat_map (fun (it : T.item) -> it.T.t_srcs)
+  in
+  let r = List.find (fun r -> A.lookup slice_alloc r <> None) srcs in
+  let r' = List.find (fun r' -> r' <> r) srcs in
+  let proposed =
+    { c_cfg = cfg; c_waves = 1; c_blocks = 2;
+      c_mode = Sim.Proposed { writeback_delay = 3 }; c_alloc = slice_alloc;
+      c_faults = [] }
+  in
+  let spill =
+    { proposed with c_mode = Sim.Spill { latency = 20; spilled = spilled [ r ] };
+                    c_alloc = full_alloc 64 }
+  in
+  let cases =
+    [
+      (proposed, "cfg field",
+       { proposed with c_cfg = { cfg with l2_hit_latency = cfg.l2_hit_latency + 40 } });
+      (proposed, "waves", { proposed with c_waves = 2 });
+      (proposed, "blocks", { proposed with c_blocks = 3 });
+      (proposed, "writeback delay",
+       { proposed with c_mode = Sim.Proposed { writeback_delay = 4 } });
+      (proposed, "one placement",
+       { proposed with c_alloc = moved_placement slice_alloc r });
+      (proposed, "dead bank",
+       { proposed with c_faults = [ Gpr_regfile.Fault.Dead_bank 3 ] });
+      (spill, "spill latency",
+       { spill with c_mode = Sim.Spill { latency = 21; spilled = spilled [ r ] } });
+      (spill, "spilled set",
+       { spill with
+         c_mode = Sim.Spill { latency = 20; spilled = spilled [ r; r' ] } });
+    ]
+  in
+  let go c =
+    Sim.run ~waves:c.c_waves ~faults:c.c_faults c.c_cfg ~trace ~alloc:c.c_alloc
+      ~blocks_per_sm:c.c_blocks ~mode:c.c_mode
+  in
+  let loop c =
+    Sim.run_loop ~waves:c.c_waves ~faults:c.c_faults c.c_cfg ~trace
+      ~alloc:c.c_alloc ~blocks_per_sm:c.c_blocks ~mode:c.c_mode
+  in
+  (* Every case's runs stay kept (fewer than the slot holds), so a
+     changed run must not return any earlier answer. *)
+  let seen = ref [] in
+  List.iter
+    (fun (base, label, changed) ->
+      let base_stats = go base in
+      let s = go changed in
+      fresh label s ~seen:(base_stats :: !seen);
+      Oracle.check_same label s (loop changed);
+      hit (label ^ " again") (go changed) s;
+      hit (label ^ ": base still kept") (go base) base_stats;
+      seen := s :: base_stats :: !seen)
+    cases
+
+let test_reuse_rrcd_after_slice () =
+  let slice = Gpr_backend.Registry.find_exn "slice" in
+  let rrcd = Gpr_backend.Registry.find_exn "rrcd" in
+  List.iter
+    (fun (w : W.t) ->
+      let trace = W.trace w ~quantize:None in
+      let width = Gpr_analysis.Width.analyze w.kernel ~launch:w.launch in
+      let go scheme =
+        let module S = (val scheme : Backend.Scheme) in
+        let res = S.analyze ~kernel:w.kernel ~width ~precision:None in
+        let occ =
+          Backend.occupancy cfg res ~warps_per_block:(W.warps_per_block w)
+            ~shared_bytes_per_block:(W.shared_bytes_per_block w)
+        in
+        Sim.run ~waves:1 cfg ~trace ~alloc:res.Backend.alloc
+          ~blocks_per_sm:occ.Gpr_arch.Occupancy.blocks_per_sm
+          ~mode:(Backend.sim_mode scheme res)
+      in
+      let s = go slice in
+      hit (w.name ^ ": rrcd after slice") (go rrcd) s)
+    Gpr_workloads.Registry.all
+
+let test_reuse_check_profile () =
+  let trace, alloc, mode, blocks = hotspot_slice () in
+  let go ?check ?profile () =
+    Sim.run ?check ?profile ~waves:1 cfg ~trace ~alloc ~blocks_per_sm:blocks
+      ~mode
+  in
+  let kept = go () in
+  let checked = go ~check:true () in
+  fresh "check" checked ~seen:[ kept ];
+  Oracle.check_same "check" checked kept;
+  let ch = Gpr_obs.Chrome.create () in
+  let profiled = go ~profile:ch () in
+  fresh "profile" profiled ~seen:[ kept; checked ];
+  Oracle.check_same "profile" profiled kept;
+  Alcotest.(check bool) "the profiled run emitted its spans" true
+    (Gpr_obs.Chrome.num_events ch > 0);
+  hit "plain run after check and profile" (go ()) kept
+
+(* Simulate a trace nothing else refers to, leaving only a weak
+   pointer to it. *)
+let[@inline never] simulate_unreferenced weak =
+  let trace = mk_trace (List.init 16 (fun i -> item ~dst:i i)) in
+  Weak.set weak 0 (Some trace);
+  ignore (Sys.opaque_identity (run trace));
+  ignore (Sys.opaque_identity (run trace))
+
+let test_reuse_slot_weak () =
+  let weak = Weak.create 1 in
+  simulate_unreferenced weak;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "the slot does not keep the trace alive" false
+    (Weak.check weak 0)
+
+(* The reuse differential on generated kernels: every answer equals the
+   loop's, and an allocation equal to a kept run's (a copy, as rrcd's
+   is of slice's) is answered from it.  Seeds scale with
+   GPR_SIM_EQ_COUNT like the equivalence property. *)
+let reuse_agrees label ~trace ~alloc ~demand ~mode ~waves =
+  let blocks_per_sm =
+    (Gpr_arch.Occupancy.of_demand cfg demand
+       ~warps_per_block:trace.T.warps_per_block)
+      .Gpr_arch.Occupancy.blocks_per_sm
+  in
+  let go alloc = Sim.run ~waves cfg ~trace ~alloc ~blocks_per_sm ~mode in
+  let first = go alloc in
+  Oracle.check_same (label ^ ": run = loop") first
+    (Sim.run_loop ~waves cfg ~trace ~alloc ~blocks_per_sm ~mode);
+  hit (label ^ ": equal allocation")
+    (go { alloc with A.placements = Hashtbl.copy alloc.A.placements })
+    first
+
+let prop_reuse_agrees =
+  QCheck.Test.make ~name:"reuse = loop on generated kernels" ~count:eq_count
+    (QCheck.int_range 1 1_000_000)
+    (fun seed ->
+      Oracle.generated seed reuse_agrees;
+      true)
+
+(* ---------------------------------------------------------------- *)
 (* Perf regression (tier 2; skipped under GPR_FAST_TESTS=1): re-time
-   the CI smoke subset (Hotspot + DWT2D) per backend with both engines.
+   the CI smoke subset (Hotspot + DWT2D) per backend with both engines
+   (the flat one through [Sim.run_loop], so every call runs cycles).
    Two gates:
    - machine-independent: the flat engine must stay >= 2.5x faster than
      the reference engine (a single-tenant Sim_multi run) on the same
@@ -613,7 +835,9 @@ let measure_smoke ~waves ~rounds =
               in
               let mode = Backend.sim_mode scheme res in
               let alloc = res.Backend.alloc in
-              let fast () = Sim.run ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode in
+              let fast () =
+                Sim.run_loop ~waves cfg ~trace ~alloc ~blocks_per_sm:occ ~mode
+              in
               let slow () =
                 ignore
                   (Gpr_sim.Sim_multi.single ~waves cfg ~trace ~alloc ~demand
@@ -854,6 +1078,17 @@ let () =
           Alcotest.test_case "line size in key" `Quick test_memo_line_size;
           Alcotest.test_case "structural copy" `Quick test_memo_structural_copy;
           Alcotest.test_case "two domains" `Quick test_memo_two_domains;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "repeat" `Quick test_reuse_repeat;
+          Alcotest.test_case "key parts" `Quick test_reuse_key_parts;
+          Alcotest.test_case "rrcd after slice" `Quick
+            test_reuse_rrcd_after_slice;
+          Alcotest.test_case "check and profile" `Quick
+            test_reuse_check_profile;
+          Alcotest.test_case "slot weak" `Quick test_reuse_slot_weak;
+          QCheck_alcotest.to_alcotest prop_reuse_agrees;
         ] );
       ( "perf",
         [
