@@ -648,71 +648,12 @@ let[@inline] write_f st s i v =
 (* Lane loops, one per op: operand reads, arithmetic, rounding and the
    write share one function body. *)
 
-(* One loop per operator, as [flt_bin] below: [Sem.ibin] applied to a
-   constant operator inlines to the bare arithmetic. *)
 let int_bin st s w mask op u d a b =
   let ri = st.ri and o = w.ibase in
-  match op with
-  | Add ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Add u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Sub ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Sub u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Mul ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Mul u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Div ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Div u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Rem ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Rem u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Min ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Min u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Max ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Max u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | And ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin And u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Or ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Or u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Xor ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Xor u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Shl ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Shl u ri.(o + a + lane) ri.(o + b + lane))
-    done
-  | Shr ->
-    for lane = 0 to 31 do
-      if mask land (1 lsl lane) <> 0 then
-        write_i st s (o + d + lane) (Sem.ibin Shr u ri.(o + a + lane) ri.(o + b + lane))
-    done
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then
+      write_i st s (o + d + lane) (Sem.ibin op u ri.(o + a + lane) ri.(o + b + lane))
+  done
 
 let int_un st s w mask op u d a =
   let ri = st.ri and o = w.ibase in
@@ -729,7 +670,8 @@ let int_mad st s w mask u d a b c =
         (Sem.imad u ri.(o + a + lane) ri.(o + b + lane) ri.(o + c + lane))
   done
 
-(* One loop per operator, like [int_bin]. *)
+(* One loop per operator: [Sem.fbin] applied to a constant operator
+   inlines to the bare arithmetic. *)
 let flt_bin st s w mask op d a b =
   let rf = st.rf and o = w.fbase in
   match op with

@@ -14,10 +14,10 @@
      line size, the one config field it reads), so the schemes that
      replay one trace in turn pack it once;
    - the loop reads only the packing and one [inputs] record derived
-     up front, and the trace's slot keeps the stats of recent runs
-     keyed by those inputs, so a run identical to an earlier one on
-     the same trace (rrcd without faults after slice) is answered
-     without replaying it;
+     up front, and the trace's slot keeps the last run's inputs and
+     stats, so a run identical to the one just before it on the same
+     trace (rrcd without faults after slice) is answered without
+     replaying it;
    - warp state (pointers, ages, barrier flags, outstanding counts) and
      the scoreboard are struct-of-arrays over resident-warp slots, with
      the scoreboard a dense [warps x registers] count array;
@@ -1757,19 +1757,14 @@ let loop ~check ~profile (p : packed) (k : inputs) =
   }
 
 (* The last trace this domain simulated, keyed by physical identity:
-   its packing and the stats of the runs completed on it, newest first
-   and keyed by their inputs.  The schemes of one kernel replay the
-   same trace in turn, so only the first of them packs it, and a
-   scheme whose inputs equal an earlier one's (rrcd without faults is
-   the slice allocation) reuses that run's stats.  An ephemeron, so
-   the slot never keeps a trace (or what it holds for it) alive;
-   domain-local, so worker domains never share or race on it. *)
-type slot = { packed : packed; mutable runs : (inputs * stats) list }
-
-(* Runs kept per trace: a kernel's schemes and writeback sweep fit
-   well inside it; a fault campaign's many dead-bank sets on one trace
-   recycle the oldest entries. *)
-let max_runs = 16
+   its packing and the last run completed on it (inputs and stats).
+   The schemes of one kernel replay the same trace in turn, so only the
+   first of them packs it, and a scheme whose inputs equal the run just
+   before it (rrcd without faults after slice: the same allocation)
+   reuses that run's stats.  An ephemeron, so the slot never keeps a
+   trace (or what it holds for it) alive; domain-local, so worker
+   domains never share or race on it. *)
+type slot = { packed : packed; mutable last : (inputs * stats) option }
 
 let slot_key : (Trace.t, slot) Ephemeron.K1.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -1779,7 +1774,7 @@ let slot (cfg : Gpr_arch.Config.t) trace =
   match Option.bind !slot (fun e -> Ephemeron.K1.query e trace) with
   | Some s when s.packed.line_bytes = cfg.l1_line_bytes -> s
   | _ ->
-    let s = { packed = pack ~line_bytes:cfg.l1_line_bytes trace; runs = [] } in
+    let s = { packed = pack ~line_bytes:cfg.l1_line_bytes trace; last = None } in
     slot := Some (Ephemeron.K1.make trace s);
     s
 
@@ -1798,12 +1793,11 @@ let run ?(check = false) ?(waves = 6) ?(faults = []) ?profile cfg ~trace
   let s = slot cfg trace in
   let k = inputs ~waves ~faults cfg s.packed ~alloc ~blocks_per_sm ~mode in
   let st =
-    match List.assoc_opt k s.runs with
-    | Some st when (not check) && Option.is_none profile -> st
-    | stored ->
+    match s.last with
+    | Some (k', st) when (not check) && Option.is_none profile && k' = k -> st
+    | _ ->
       let st = loop ~check ~profile s.packed k in
-      if Option.is_none stored then
-        s.runs <- (k, st) :: List.filteri (fun i _ -> i < max_runs - 1) s.runs;
+      s.last <- Some (k, st);
       st
   in
   record_metrics st;

@@ -101,14 +101,14 @@ val run :
     The trace is packed for replay once, and the packing is reused by
     the next run on the same trace in the same domain (keyed by the
     trace's physical identity and [cfg.l1_line_bytes]).  Beside the
-    packing the domain keeps the stats of the last few runs on that
-    trace, keyed by their derived inputs (structural equality).  A run
-    whose inputs equal a kept run's returns that run's stats record
-    (physically the same) without running the loop, and still adds the
-    [sim.*] counter amounts the loop would have added.  So rrcd without
-    faults, whose allocation equals slice's, costs one loop between
-    them.  [~check:true] and [~profile] always run the loop.  Nothing
-    here keeps a trace alive.  A trace must not be changed after its
+    packing the domain keeps the derived inputs and stats of the last
+    run on that trace.  A run whose inputs equal that run's
+    (structural equality) returns its stats record (physically the
+    same) without running the loop, and still adds the [sim.*] counter
+    amounts the loop would have added.  So rrcd without faults right
+    after slice, whose allocation equals slice's, costs one loop
+    between them.  [~check:true] and [~profile] always run the loop
+    (and become the last run).  Nothing here keeps a trace alive.  A trace must not be changed after its
     first run: build a new one instead.
 
     With [~check:true] (default false) the model audits itself and

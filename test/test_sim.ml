@@ -558,8 +558,8 @@ let test_memo_two_domains () =
     [ d1; d2 ]
 
 (* ---------------------------------------------------------------- *)
-(* Run reuse: a run whose derived inputs equal a kept run's on the same
-   trace returns that run's stats record.  A hit is observable as
+(* Run reuse: a run whose derived inputs equal the last run's on the
+   same trace returns that run's stats record.  A hit is observable as
    physical equality with an earlier result (a loop always builds a
    fresh record), and every answer must equal [Sim.run_loop]'s. *)
 
@@ -683,18 +683,23 @@ let test_reuse_key_parts () =
     Sim.run_loop ~waves:c.c_waves ~faults:c.c_faults c.c_cfg ~trace
       ~alloc:c.c_alloc ~blocks_per_sm:c.c_blocks ~mode:c.c_mode
   in
-  (* Every case's runs stay kept (fewer than the slot holds), so a
-     changed run must not return any earlier answer. *)
+  (* The slot keeps the last run only: a changed run must not return
+     any earlier answer, a repeat of it is a hit, and the base after it
+     is a fresh run again. *)
   let seen = ref [] in
   List.iter
     (fun (base, label, changed) ->
       let base_stats = go base in
+      hit (label ^ ": base repeat") (go base) base_stats;
       let s = go changed in
       fresh label s ~seen:(base_stats :: !seen);
       Oracle.check_same label s (loop changed);
       hit (label ^ " again") (go changed) s;
-      hit (label ^ ": base still kept") (go base) base_stats;
-      seen := s :: base_stats :: !seen)
+      let base_again = go base in
+      fresh (label ^ ": base after it") base_again
+        ~seen:(s :: base_stats :: !seen);
+      Oracle.check_same (label ^ ": base after it") base_again base_stats;
+      seen := base_again :: s :: base_stats :: !seen)
     cases
 
 let test_reuse_rrcd_after_slice () =
@@ -735,7 +740,8 @@ let test_reuse_check_profile () =
   Oracle.check_same "profile" profiled kept;
   Alcotest.(check bool) "the profiled run emitted its spans" true
     (Gpr_obs.Chrome.num_events ch > 0);
-  hit "plain run after check and profile" (go ()) kept
+  (* A checked or profiled run is still the last run of the trace. *)
+  hit "plain run after check and profile" (go ()) profiled
 
 (* Simulate a trace nothing else refers to, leaving only a weak
    pointer to it. *)
@@ -754,7 +760,7 @@ let test_reuse_slot_weak () =
     (Weak.check weak 0)
 
 (* The reuse differential on generated kernels: every answer equals the
-   loop's, and an allocation equal to a kept run's (a copy, as rrcd's
+   loop's, and an allocation equal to the last run's (a copy, as rrcd's
    is of slice's) is answered from it.  Seeds scale with
    GPR_SIM_EQ_COUNT like the equivalence property. *)
 let reuse_agrees label ~trace ~alloc ~demand ~mode ~waves =
