@@ -313,12 +313,8 @@ let analyze_cmd =
     | Ok kernel ->
       let kernel = if optimize then Gpr_opt.Opt.run kernel else kernel in
       let launch = Gpr_isa.Types.launch_1d ~block ~grid in
-      let width = Gpr_analysis.Width.analyze kernel ~launch in
-      let baseline = Gpr_alloc.Alloc.baseline kernel in
-      let packed =
-        Gpr_alloc.Alloc.run kernel
-          ~width_of:
-            (Compress.width_fn ~narrow_ints:true ~narrow_floats:None ~width)
+      let { Compress.width; baseline; int_only; _ } =
+        Compress.static_plan kernel ~launch
       in
       Printf.printf "kernel %s: %d static instructions, %d blocks\n"
         kernel.Gpr_isa.Types.k_name
@@ -326,7 +322,7 @@ let analyze_cmd =
         (Array.length kernel.Gpr_isa.Types.k_blocks);
       Printf.printf
         "register pressure: %d original -> %d with narrow integers\n"
-        baseline.Gpr_alloc.Alloc.pressure packed.Gpr_alloc.Alloc.pressure;
+        baseline.Gpr_alloc.Alloc.pressure int_only.Gpr_alloc.Alloc.pressure;
       Printf.printf "narrow integer variables: %d (intervals alone: %d)\n"
         (Gpr_analysis.Width.narrow_int_count width kernel)
         (Gpr_analysis.Width.interval_narrow_int_count width kernel);

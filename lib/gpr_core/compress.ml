@@ -60,7 +60,9 @@ let cache : t Gpr_engine.Memo.t = Gpr_engine.Memo.create ()
 
 let store : Gpr_engine.Store.t option ref = ref None
 let set_store s = store := s
-let clear_cache () = Gpr_engine.Memo.clear cache
+let clear_cache () =
+  Gpr_engine.Memo.clear cache;
+  Workload.clear_tapes ()
 
 let fingerprint (w : Workload.t) = Gpr_engine.Fingerprint.workload w
 
@@ -75,16 +77,28 @@ type stored = {
   s_high : per_threshold;
 }
 
-let compute (w : Workload.t) =
-  let reference = Workload.reference w in
-  let width = Gpr_analysis.Width.analyze w.kernel ~launch:w.launch in
-  (* The six allocations share one liveness computation. *)
-  let intervals = Gpr_analysis.Liveness.(intervals (compute w.kernel)) in
-  let baseline = Alloc.baseline ~intervals w.kernel in
+type static_plan = {
+  width : Gpr_analysis.Width.t;
+  intervals : (int * int * int) list;
+  baseline : Alloc.t;
+  int_only : Alloc.t;
+}
+
+(* Every allocation of a kernel shares one liveness computation. *)
+let static_plan ?(check = ignore) kernel ~launch =
+  let width = Gpr_analysis.Width.analyze kernel ~launch in
+  check ();
+  let intervals = Gpr_analysis.Liveness.(intervals (compute kernel)) in
+  let baseline = Alloc.baseline ~intervals kernel in
   let int_only =
-    Alloc.run ~intervals w.kernel
+    Alloc.run ~intervals kernel
       ~width_of:(width_fn ~narrow_ints:true ~narrow_floats:None ~width)
   in
+  { width; intervals; baseline; int_only }
+
+let compute (w : Workload.t) =
+  let reference = Workload.reference w in
+  let { width; intervals; baseline; int_only } = static_plan w.kernel ~launch:w.launch in
   (* One callback for both searches, so they share [P.tune]'s scores. *)
   let evaluate ~quantize = Workload.evaluate w ~reference ~quantize in
   let perfect = tune_threshold w ~evaluate ~width ~intervals Q.Perfect in

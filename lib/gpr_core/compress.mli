@@ -30,6 +30,24 @@ type t = {
   high : per_threshold;
 }
 
+type static_plan = {
+  width : Gpr_analysis.Width.t;
+  intervals : (int * int * int) list;
+      (** {!Gpr_analysis.Liveness.intervals}, computed once for every
+          allocation of the kernel *)
+  baseline : Gpr_alloc.Alloc.t;
+  int_only : Gpr_alloc.Alloc.t;
+}
+
+val static_plan :
+  ?check:(unit -> unit) -> Gpr_isa.Types.kernel -> launch:Gpr_isa.Types.launch ->
+  static_plan
+(** The integer half of {!analyze}, which needs no input data: the
+    width analysis, then the original and narrow-integer allocations
+    over one liveness computation.  [check] (default: nothing) runs
+    between the two steps, e.g. a deadline check.  {!analyze},
+    [gpr analyze] and serve's inline plan all call it. *)
+
 val analyze : Workload.t -> t
 (** Runs the full static framework.  Expensive (the tuner re-executes
     the kernel many times); results are memoised by content
@@ -45,7 +63,9 @@ val set_store : Gpr_engine.Store.t option -> unit
     the precision tuner entirely. *)
 
 val clear_cache : unit -> unit
-(** Clears the in-memory memo table only, never the on-disk store. *)
+(** Clears the in-memory memo table and the recorded float schedules
+    ({!Gpr_workloads.Workload.clear_tapes}), never the on-disk store:
+    the next analysis runs cold. *)
 
 val threshold_data : t -> Gpr_quality.Quality.threshold -> per_threshold
 

@@ -528,6 +528,9 @@ type warp = {
   mutable exited : int;
 }
 
+(* A growing tape of recorded words. *)
+type words = { mutable buf : int array; mutable len : int }
+
 (* One run's state, shared by the lane loops.  The register files of
    all warps of a CTA live in [ri] and [rf]: taken once per run (see
    [take_files]), the constant slots after each warp's registers filled
@@ -556,6 +559,7 @@ type state = {
      kernel would spin forever. *)
   mutable branch_steps : int;
   mutable items : Trace.item list;
+  mutable tape : words option;  (* recording a float schedule (see [record]) *)
 }
 
 (* Dynamic barrier/race monitor (the runtime counterpart of the static
@@ -867,6 +871,81 @@ let store st s w mask active buf idx vi vf err_i err_f =
   done;
   mem_access st buf addrs
 
+(* ------------------------------------------------------------------ *)
+(* Float schedule recording (see [record] and [replay] below).
+
+   A tape lists, in execution order, a [-1] word per CTA start and,
+   per float-side site, the word [(pc lsl 47) lor (warp lsl 32) lor
+   mask] followed by the integers the site reads: its load or store
+   indices, the values of an integer store, the sources of a [cvt] to
+   float, or the predicate bits of a float [selp] (one word). *)
+
+(* Past this size a recording stops ([st.tape] becomes [None]) and
+   the run keeps no tape. *)
+let max_tape_words = 1 lsl 20
+
+(* Make room for [n] more words; [false], and no tape, past the
+   bound. *)
+let reserve st t n =
+  if t.len + n > Array.length t.buf then begin
+    if 2 * Array.length t.buf > max_tape_words then st.tape <- None
+    else begin
+      let b = Array.make (2 * Array.length t.buf) 0 in
+      Array.blit t.buf 0 b 0 t.len;
+      t.buf <- b
+    end
+  end;
+  st.tape != None
+
+let[@inline] push t x =
+  t.buf.(t.len) <- x;
+  t.len <- t.len + 1
+
+(* A store is taped unless it writes integers to shared memory: only
+   integer loads read those back, and no taped site reads an integer
+   register an integer load wrote. *)
+let taped_store st buf =
+  match st.storage.(buf) with
+  | F_data _ -> true
+  | I_data _ -> st.kernel.k_buffers.(buf).buf_space <> Shared
+
+(* A site's integers go on the tape one per active lane, in lane
+   order. *)
+let record_lanes st t mask o =
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then push t st.ri.(o + lane)
+  done
+
+let record_site st t s w mask =
+  let taped =
+    match s.op with
+    | Flt_bin _ | Flt_un _ | Flt_fma _ | Mov_flt _ | Sel_flt _ | Cvt_to_flt _
+    | Param (_, Load_float, _) | Load (_, Load_float, _, _) -> true
+    | Store (buf, _, _, _, _, _) -> taped_store st buf
+    | _ -> false
+  in
+  (* A header and at most two lane groups. *)
+  if taped && reserve st t 65 then begin
+    push t ((s.pc lsl 47) lor (w.wid lsl 32) lor mask);
+    let o = w.ibase in
+    match s.op with
+    | Sel_flt (_, _, _, p) ->
+      let m = ref 0 in
+      for lane = 0 to 31 do
+        if mask land (1 lsl lane) <> 0 && st.ri.(o + p + lane) <> 0 then
+          m := !m lor (1 lsl lane)
+      done;
+      push t !m
+    | Cvt_to_flt (_, _, a) -> record_lanes st t mask (o + a)
+    | Load (_, _, _, idx) -> record_lanes st t mask (o + idx)
+    | Store (buf, idx, vi, _, _, _) ->
+      record_lanes st t mask (o + idx);
+      (match st.storage.(buf) with
+       | I_data _ -> record_lanes st t mask (o + vi)
+       | F_data _ -> ())
+    | _ -> ()
+  end
+
 (* Execute one site for the lanes of [mask] (never empty), then count
    it, trace it and check the step budget. *)
 let rec exec_op st s w mask active op =
@@ -901,16 +980,21 @@ let rec exec_op st s w mask active op =
   | Sync -> None
   | Fail msg -> failwith msg
 
+(* Round a narrowed site's results; a site defining a float writes
+   every lane of [mask]. *)
+let[@inline] round_site st s w mask =
+  match st.on_write with
+  | None when s.fdst >= 0 ->
+    let f = format_of st s in
+    if f.Gpr_fp.Format_.total_bits < 32 then
+      Gpr_fp.Format_.quantize_lanes f st.rf (w.fbase + s.fdst) mask
+  | _ -> ()
+
 let exec st s w mask =
   let active = Gpr_util.Bits.popcount mask in
+  (match st.tape with None -> () | Some t -> record_site st t s w mask);
   let mem = exec_op st s w mask active s.op in
-  (* A site defining a float writes every lane of [mask]. *)
-  (match st.on_write with
-   | None when s.fdst >= 0 ->
-     let f = format_of st s in
-     if f.Gpr_fp.Format_.total_bits < 32 then
-       Gpr_fp.Format_.quantize_lanes f st.rf (w.fbase + s.fdst) mask
-   | _ -> ());
+  round_site st s w mask;
   if st.collect then
     st.items <-
       { Trace.t_warp = w.wid; t_block_id = st.block_id; t_pc = s.pc;
@@ -1017,6 +1101,24 @@ let race_reset race =
          Array.fill r2 0 (Array.length r2) (-1)))
     race
 
+(* The float side of a CTA start (all a replay needs): clear the
+   shared float arrays and the float slots a lane could read before
+   writing. *)
+let start_cta_floats st warps =
+  let bufs = st.kernel.k_buffers in
+  for i = 0 to Array.length bufs - 1 do
+    match bufs.(i).buf_space, st.storage.(i) with
+    | Shared, F_data a -> Array.fill a 0 (Array.length a) 0.0
+    | _ -> ()
+  done;
+  for k = 0 to Array.length warps - 1 do
+    let fbase = warps.(k).fbase in
+    let clear = st.prog.clear_f in
+    for j = 0 to Array.length clear - 1 do
+      Array.fill st.rf (fbase + clear.(j)) 32 0.0
+    done
+  done
+
 (* Start CTA [block_id]: clear shared memory, the race records and the
    register slots a lane could read before writing, and seed the special
    registers of every valid lane. *)
@@ -1026,18 +1128,18 @@ let start_cta st warps ~launch block_id =
   let bx = block_id mod launch.nctaid_x in
   let by = block_id / launch.nctaid_x in
   st.block_id <- block_id;
+  start_cta_floats st warps;
   Array.iteri
     (fun i buf ->
        if buf.buf_space = Shared then
          match st.storage.(i) with
          | I_data a -> Array.fill a 0 (Array.length a) 0
-         | F_data a -> Array.fill a 0 (Array.length a) 0.0)
+         | F_data _ -> ())
     kernel.k_buffers;
   race_reset st.race;
   Array.iter
     (fun w ->
        Array.iter (fun o -> Array.fill st.ri (w.ibase + o) 32 0) st.prog.clear_i;
-       Array.iter (fun o -> Array.fill st.rf (w.fbase + o) 32 0.0) st.prog.clear_f;
        w.stack <- [ { rpc = -1; blk = 0; idx = 0; mask = w.valid } ];
        w.exited <- 0;
        for lane = 0 to 31 do
@@ -1079,7 +1181,8 @@ let run_cta st warps finished =
     if st.check then race_reset st.race
   done
 
-let run ?(check = false) kernel ~launch ~params ~bindings (config : config) =
+(* One run's state and warps, with each warp's constant slots filled. *)
+let setup ~check kernel ~launch ~params ~bindings (config : config) tape =
   let nbuf = Array.length kernel.k_buffers in
   if Array.length bindings <> nbuf then
     failwith "Exec.run: binding count mismatch";
@@ -1123,7 +1226,6 @@ let run ?(check = false) kernel ~launch ~params ~bindings (config : config) =
   in
   let tpb = threads_per_block launch in
   let warps_per_block = (tpb + 31) / 32 in
-  let nblocks = num_blocks launch in
   let istride = prog.islots * 32 and fstride = prog.fslots * 32 in
   let ri, rf = take_files (warps_per_block * istride) (warps_per_block * fstride) in
   let st =
@@ -1132,7 +1234,7 @@ let run ?(check = false) kernel ~launch ~params ~bindings (config : config) =
       quantize = config.quantize; on_write = config.on_write;
       on_monitor = config.on_monitor; check; collect = config.collect_trace;
       budget = Option.value config.max_steps ~default:max_int;
-      block_id = 0; thread_instrs = 0; branch_steps = 0; items = [] }
+      block_id = 0; thread_instrs = 0; branch_steps = 0; items = []; tape }
   in
   let warps =
     Array.init warps_per_block (fun wid ->
@@ -1145,22 +1247,142 @@ let run ?(check = false) kernel ~launch ~params ~bindings (config : config) =
         Array.iter (fun (o, c) -> Array.fill st.rf (fbase + o) 32 c) prog.fconsts;
         { wid; valid = !valid; ibase; fbase; stack = []; exited = 0 })
   in
-  let finished = Array.make warps_per_block false in
-  for block_id = 0 to nblocks - 1 do
+  (st, warps)
+
+let interpret ?(check = false) kernel ~launch ~params ~bindings config tape =
+  let st, warps = setup ~check kernel ~launch ~params ~bindings config tape in
+  let finished = Array.make (Array.length warps) false in
+  for block_id = 0 to num_blocks launch - 1 do
     start_cta st warps ~launch block_id;
+    (match st.tape with Some t when reserve st t 1 -> push t (-1) | _ -> ());
     run_cta st warps finished
   done;
-
   keep_files st;
   Gpr_obs.Metrics.incr m_runs;
   Gpr_obs.Metrics.add m_thread_instrs st.thread_instrs;
+  st
 
+let run ?check kernel ~launch ~params ~bindings (config : config) =
+  let st = interpret ?check kernel ~launch ~params ~bindings config None in
   if config.collect_trace then
     Some
       {
         Trace.items = Array.of_list (List.rev st.items);
-        warps_per_block;
-        num_blocks = nblocks;
+        warps_per_block = (threads_per_block launch + 31) / 32;
+        num_blocks = num_blocks launch;
         thread_instructions = st.thread_instrs;
       }
   else None
+
+(* ------------------------------------------------------------------ *)
+(* Replaying a recorded float schedule.
+
+   In a program without a float comparison or a float-to-int
+   conversion (nor a [selp] with an ill-typed immediate, kept out for
+   simplicity), nothing reads the float file into the int file.  So
+   the int file, every branch, every lane mask and every memory index
+   of a run are the same under any [quantize] table, and so is every
+   integer buffer: the run's float side is a fixed schedule of float
+   sites.  [record] writes that schedule down from one run; [replay]
+   runs only those sites, after writing the integers each one reads
+   back into the int file, through the same lane loops and rounding. *)
+
+type tape = {
+  t_kernel : kernel;
+  t_launch : launch;
+  t_params : pvalue array;
+  t_lengths : int array;  (** each binding's element count *)
+  t_sites : site array;   (** by pc: blocks in order *)
+  t_words : int array;
+  t_instrs : int;         (** thread instructions the recorded run executed *)
+}
+
+let replayable prog =
+  Array.for_all
+    (Array.for_all (fun s ->
+         match s.op with
+         | Cmp_flt _ | Cvt_to_int _ | Sel_checked _ -> false
+         | _ -> true))
+    prog.blocks
+
+let eligible kernel = replayable (program kernel)
+
+let binding_length = function Buf_data s -> storage_length s | Buf_shared n -> n
+
+let record kernel ~launch ~params ~bindings ~quantize =
+  let prog = program kernel in
+  let taping =
+    replayable prog
+    && (threads_per_block launch + 31) / 32 <= 1 lsl 15
+    && count_static_instrs kernel <= 1 lsl 15
+  in
+  let tape = if taping then Some { buf = Array.make 1024 0; len = 0 } else None in
+  let config = { default_config with quantize } in
+  let st = interpret kernel ~launch ~params ~bindings config tape in
+  match st.tape with
+  | None -> None
+  | Some t ->
+    Some
+      { t_kernel = kernel; t_launch = launch; t_params = params;
+        t_lengths = Array.map binding_length bindings;
+        t_sites = Array.concat (Array.to_list prog.blocks);
+        t_words = Array.sub t.buf 0 t.len; t_instrs = st.thread_instrs }
+
+(* Write the integers a taped site reads back into the int file;
+   returns the next word. *)
+let restore_lanes st mask o words i =
+  let i = ref i in
+  for lane = 0 to 31 do
+    if mask land (1 lsl lane) <> 0 then begin
+      st.ri.(o + lane) <- words.(!i);
+      incr i
+    end
+  done;
+  !i
+
+let restore st s w mask words i =
+  let o = w.ibase in
+  match s.op with
+  | Sel_flt (_, _, _, p) ->
+    let m = words.(i) in
+    for lane = 0 to 31 do
+      st.ri.(o + p + lane) <- (m lsr lane) land 1
+    done;
+    i + 1
+  | Cvt_to_flt (_, _, a) -> restore_lanes st mask (o + a) words i
+  | Load (_, _, _, idx) -> restore_lanes st mask (o + idx) words i
+  | Store (buf, idx, vi, _, _, _) ->
+    let i = restore_lanes st mask (o + idx) words i in
+    (match st.storage.(buf) with
+     | I_data _ -> restore_lanes st mask (o + vi) words i
+     | F_data _ -> i)
+  | _ -> i
+
+let replay tape ~bindings ~quantize =
+  if Array.length bindings <> Array.length tape.t_lengths
+  || not (Array.for_all2 (fun b n -> binding_length b = n) bindings tape.t_lengths)
+  then invalid_arg "Exec.replay: bindings differ from the recorded run's";
+  let st, warps =
+    setup ~check:false tape.t_kernel ~launch:tape.t_launch ~params:tape.t_params
+      ~bindings { default_config with quantize } None
+  in
+  let words = tape.t_words in
+  let n = Array.length words in
+  let i = ref 0 in
+  while !i < n do
+    let c = words.(!i) in
+    if c < 0 then begin
+      start_cta_floats st warps;
+      incr i
+    end
+    else begin
+      let s = tape.t_sites.(c lsr 47) and w = warps.((c lsr 32) land 0x7fff) in
+      let mask = c land 0xffff_ffff in
+      i := restore st s w mask words (!i + 1);
+      ignore (exec_op st s w mask 0 s.op);
+      round_site st s w mask
+    end
+  done;
+  keep_files st;
+  Gpr_obs.Metrics.incr m_runs;
+  Gpr_obs.Metrics.add m_thread_instrs tape.t_instrs

@@ -26,11 +26,11 @@ open Gpr_isa.Types
     U32 (wrapped to [0, 2^32)), otherwise S32 (sign-wrapped).  Floats
     are doubles holding an f32 value; every result is rounded to f32. *)
 module Sem : sig
-  val wrap_s32 : int -> int
   val wrap_u32 : int -> int
 
   val wrap : bool -> int -> int
-  (** [wrap u x]: [wrap_u32 x] when [u], else [wrap_s32 x]. *)
+  (** [wrap u x]: [wrap_u32 x] when [u], else [x] sign-wrapped to 32
+      bits. *)
 
   val f32 : float -> float
   (** Round to the nearest f32. *)
@@ -121,6 +121,50 @@ val run :
     set).  The monitor is the runtime counterpart of the [Gpr_lint]
     divergence and race passes.
     @raise Failure on out-of-bounds accesses or binding mismatches. *)
+
+(** {2 Recorded float schedules}
+
+    A run that changes only its [quantize] table changes only float
+    values.  When no float can reach an integer, predicate or index
+    (see {!eligible}), every such run executes the same float sites on
+    the same lanes in the same order, with the same integer inputs:
+    one run can record that schedule and later runs replay it without
+    the integer work and the control flow. *)
+
+type tape
+(** The float schedule of one run: in execution order, each CTA start
+    and each float-side site with its warp, its lane mask and the
+    integers it reads (load and store indices, integer store values,
+    [cvt] sources, float [selp] predicates). *)
+
+val eligible : kernel -> bool
+(** Whether runs of the kernel can be recorded: its program has no
+    float [setp] and no float-to-int [cvt] (the only paths from the
+    float file to the int file), and no [selp] with an ill-typed
+    immediate. *)
+
+val record :
+  kernel ->
+  launch:launch ->
+  params:pvalue array ->
+  bindings:binding array ->
+  quantize:Gpr_fp.Format_.t array option ->
+  tape option
+(** [run] with a default config but [quantize], also returning the
+    run's tape when the kernel is {!eligible}, has at most 2^15 static
+    instructions and 2^15 warps per block, and the tape stays under
+    2^20 words. *)
+
+val replay :
+  tape -> bindings:binding array -> quantize:Gpr_fp.Format_.t array option -> unit
+(** Re-run the recorded kernel, launch and parameters on [bindings]
+    with a new [quantize] table, executing only the tape's float sites.
+    Every buffer ends as [run] would leave it, provided [bindings]
+    start from the values the recorded run started from.  Counts one
+    run and the recorded run's thread instructions in the [exec.*]
+    metrics.
+    @raise Invalid_argument when a binding's length differs from the
+    recorded run's. *)
 
 val static_pc : kernel -> block:int -> idx:int -> int
 (** The unique static instruction id used by traces and the [quantize]

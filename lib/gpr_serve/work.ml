@@ -223,13 +223,8 @@ let run_plan_registry ~check (w : W.t) =
 (* Mirrors `gpr analyze`: the static integer framework only (inline
    kernels carry no input data, so the float tuner cannot run). *)
 let run_plan_inline ~check kernel launch =
-  let width = Gpr_analysis.Width.analyze kernel ~launch in
-  check ();
-  let baseline = Gpr_alloc.Alloc.baseline kernel in
-  let packed =
-    Gpr_alloc.Alloc.run kernel
-      ~width_of:
-        (Compress.width_fn ~narrow_ints:true ~narrow_floats:None ~width)
+  let { Compress.width; baseline; int_only; _ } =
+    Compress.static_plan ~check kernel ~launch
   in
   check ();
   J.Obj
@@ -238,7 +233,7 @@ let run_plan_inline ~check kernel launch =
       ("instructions", J.Int (Gpr_isa.Pp.instr_count kernel));
       ("blocks", J.Int (Array.length kernel.Gpr_isa.Types.k_blocks));
       ("pressure_original", J.Int baseline.Gpr_alloc.Alloc.pressure);
-      ("pressure_narrow_ints", J.Int packed.Gpr_alloc.Alloc.pressure);
+      ("pressure_narrow_ints", J.Int int_only.Gpr_alloc.Alloc.pressure);
       ( "narrow_int_vars",
         J.Int (Gpr_analysis.Width.narrow_int_count width kernel) );
       ( "narrow_int_vars_interval",

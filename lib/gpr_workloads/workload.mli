@@ -66,7 +66,18 @@ val reference : t -> float array
 
 val run_quantized : t -> quantize:Gpr_fp.Format_.t array -> float array
 (** Re-run on the same inputs with float registers stored in per-pc
-    formats (an {!Gpr_exec.Exec.config} [quantize] table). *)
+    formats (an {!Gpr_exec.Exec.config} [quantize] table).
+
+    For a workload with kept inputs ({!share_inputs}) whose kernel is
+    {!Gpr_exec.Exec.eligible}, the first quantised run records the
+    run's float schedule and later ones replay it
+    ({!Gpr_exec.Exec.replay}): same outputs, same [exec.*] counts.
+    Each domain keeps its last tape, used only for the physical kernel
+    and [data] closure plus equal launch, params and shared sizes, and
+    dropped by {!clear_tapes}. *)
+
+val clear_tapes : unit -> unit
+(** Forget every recorded float schedule, in every domain. *)
 
 val score : t -> out:float array -> reference:float array -> Gpr_quality.Quality.score
 

@@ -549,6 +549,237 @@ let test_quantized_allocation (name, _, _, _) () =
     Alcotest.failf "%s: quantised run allocates %.0f minor words, reference %.0f"
       name quantized reference
 
+(* The interpreter's own narrowed path, without a tape: [Exec.run]
+   under the pins' table against a reference [Exec.run], on every
+   registry kernel.  On an eligible kernel the gate above measures a
+   replay, so only this one sees the lane loops' allocation. *)
+let exec_run (w : W.t) quantize () =
+  let data = w.data () in
+  let bindings = E.bindings_for w.kernel ~data ~shared:w.shared () in
+  ignore
+    (E.run w.kernel ~launch:w.launch ~params:w.params ~bindings
+       { E.default_config with quantize })
+
+let test_interpreter_allocation (name, _, _, _) () =
+  let w = Option.get (Gpr_workloads.Registry.by_name name) in
+  let table = narrowed_table w in
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let reference = words (exec_run w None) in
+  let quantized = words (exec_run w (Some table)) in
+  if quantized > reference +. 16.0 then
+    Alcotest.failf "%s: interpreted quantised run allocates %.0f minor words, reference %.0f"
+      name quantized reference
+
+(* ---------------------------------------------------------------- *)
+(* Replay differential: a tape recorded under one [quantize] table and
+   replayed under another must leave every buffer as the interpreter
+   does, bit for bit, and count the same thread instructions. *)
+
+module Metrics = Gpr_obs.Metrics
+
+let thread_instrs = Metrics.counter "exec.thread_instructions"
+
+(* Every buffer of a run, as bytes (floats by bit pattern), and the
+   thread instructions it counted. *)
+let counted f =
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) (fun () ->
+      let i0 = Metrics.value thread_instrs in
+      let data = f () in
+      (Marshal.to_string data [], Metrics.value thread_instrs - i0))
+
+let interpreted ~kernel ~launch ~params ~data ~shared quantize =
+  counted (fun () ->
+      let data = data () in
+      let bindings = E.bindings_for kernel ~data ~shared () in
+      ignore (E.run kernel ~launch ~params ~bindings { E.default_config with quantize });
+      data)
+
+let replayed tape ~kernel ~data ~shared quantize =
+  counted (fun () ->
+      let data = data () in
+      E.replay tape ~bindings:(E.bindings_for kernel ~data ~shared ()) ~quantize;
+      data)
+
+(* Random per-site formats, every Table 3 format equally likely. *)
+let random_table rng n =
+  Array.init n (fun _ -> Gpr_fp.Format_.of_level (Gpr_util.Rng.int rng 7))
+
+(* Record under [tables]'s first entry, then replay each table
+   against the interpreter.  [None] when the kernel has no tape. *)
+let replay_agrees ~label ~kernel ~launch ~params ~data ~shared tables =
+  let d = data () in
+  let tape =
+    E.record kernel ~launch ~params ~bindings:(E.bindings_for kernel ~data:d ~shared ())
+      ~quantize:(List.hd tables)
+  in
+  Option.map
+    (fun tape ->
+       List.iteri
+         (fun i q ->
+            let want = interpreted ~kernel ~launch ~params ~data ~shared q in
+            let got = replayed tape ~kernel ~data ~shared q in
+            if got <> want then
+              Alcotest.failf "%s: table %d: replay differs (%d vs %d thread instructions%s)"
+                label i (snd got) (snd want)
+                (if fst got = fst want then "" else ", buffers differ"))
+         tables)
+    tape
+
+let ineligible = [ "Elevated"; "Pathtracer"; "Hybridsort" ]
+
+let test_replay_registry name () =
+  let w = Option.get (Gpr_workloads.Registry.by_name name) in
+  let n = E.count_static_instrs w.kernel in
+  let rng = Gpr_util.Rng.create (Hashtbl.hash name) in
+  let tables =
+    (Some (narrowed_table w) :: None
+     :: List.map (fun f -> Some (Array.make n f)) Gpr_fp.Format_.all)
+    @ List.init 3 (fun _ -> Some (random_table rng n))
+  in
+  Alcotest.(check bool) "eligible" (not (List.mem name ineligible)) (E.eligible w.kernel);
+  let recorded =
+    replay_agrees ~label:name ~kernel:w.kernel ~launch:w.launch ~params:w.params
+      ~data:w.data ~shared:w.shared tables
+  in
+  Alcotest.(check bool) "tape recorded" (E.eligible w.kernel) (recorded <> None)
+
+(* Generated kernels emit [ftoi], [itof] and float [selp]: both sides
+   of the eligibility rule. *)
+let replay_count =
+  match Sys.getenv_opt "GPR_REPLAY_EQ_COUNT" with
+  | Some s -> ( try max 1 (int_of_string s) with _ -> 40)
+  | None -> 40
+
+module Gen = Gpr_check.Gen
+
+(* [Some eligible] for a generated kernel that runs within a step
+   budget, after checking its replays. *)
+let replay_generated seed =
+  let c = Gen.generate seed in
+  let kernel = c.Gen.kernel and launch = c.Gen.launch and params = c.Gen.params in
+  let terminates =
+    try
+      let bindings = E.bindings_for kernel ~data:(c.Gen.data ()) ~shared:c.Gen.shared () in
+      ignore (E.run kernel ~launch ~params ~bindings
+                { E.default_config with max_steps = Some 500_000 });
+      true
+    with Failure _ -> false
+  in
+  if not terminates then None
+  else begin
+    let n = E.count_static_instrs kernel in
+    let rng = Gpr_util.Rng.create seed in
+    let levels =
+      Array.init n (fun pc ->
+          match List.assoc_opt pc (E.float_def_sites kernel) with
+          | Some d -> Gpr_fp.Format_.of_level (c.Gen.float_level d)
+          | None -> Gpr_fp.Format_.f32)
+    in
+    let tables =
+      [ Some (random_table rng n); None; Some levels;
+        Some (Array.make n (Gpr_fp.Format_.of_level 6)); Some (random_table rng n) ]
+    in
+    let recorded =
+      replay_agrees ~label:(Printf.sprintf "seed %d" seed) ~kernel ~launch ~params
+        ~data:c.Gen.data ~shared:c.Gen.shared tables
+    in
+    if (recorded <> None) <> E.eligible kernel then
+      Alcotest.failf "seed %d: a tape exists iff the kernel is eligible" seed;
+    Some (E.eligible kernel)
+  end
+
+(* Seeds 1..GPR_REPLAY_EQ_COUNT (default 40; CI runs 500) hold
+   eligible and ineligible kernels alike. *)
+let test_replay_generated () =
+  let seen = List.filter_map replay_generated (List.init replay_count (fun i -> i + 1)) in
+  Alcotest.(check bool) "an eligible kernel" true (List.mem true seen);
+  Alcotest.(check bool) "an ineligible kernel" true (List.mem false seen)
+
+(* A run whose tape would pass the size bound (2^20 words) records
+   none, and its kernel keeps the interpreter. *)
+let test_replay_bound () =
+  let b = Builder.create ~name:"long" in
+  let open Builder in
+  let out = global_buffer b F32 "out" in
+  let n = param_i32 b "n" in
+  let acc = var b F32 "acc" in
+  assign b acc (cf 0.0);
+  for_ b ~lo:(ci 0) ~hi:~$n (fun _ -> assign b acc ~$(fadd b ~$acc (cf 1.0)));
+  st b out ~$(global_thread_id_x b) ~$acc;
+  let kernel = finish b in
+  let record iterations =
+    let data = [ ("out", E.F_data (Array.make 32 0.0)) ] in
+    E.record kernel ~launch:(launch_1d ~block:32 ~grid:1)
+      ~params:[| E.P_int iterations |] ~bindings:(E.bindings_for kernel ~data ())
+      ~quantize:None
+  in
+  Alcotest.(check bool) "short run" true (record 1000 <> None);
+  Alcotest.(check bool) "long run" true (record (1 lsl 20) = None)
+
+(* A tape belongs to the kernel, [data] closure, launch, params and
+   shared sizes it was recorded from: here the integer inputs pick
+   which float each thread reads, so reusing another copy's tape would
+   read the wrong elements. *)
+let test_replay_key () =
+  let b = Builder.create ~name:"gather" in
+  let open Builder in
+  let idx = global_buffer b S32 "idx" in
+  let x = global_buffer b F32 "x" in
+  let out = global_buffer b F32 "out" in
+  let off = param_i32 b "off" in
+  let i = global_thread_id_x b in
+  let j = iadd b ~$(ld b idx ~$i) ~$off in
+  st b out ~$i ~$(fmul b ~$(ld b x ~$j) (cf 1.1));
+  let kernel = finish b in
+  let n = 64 in
+  let inputs perm () =
+    [ ("idx", E.I_data (Array.init n perm));
+      ("x", E.F_data (Array.init (n + 1) (fun k -> 1.0 +. (float_of_int k /. 3.0))));
+      ("out", E.F_data (Array.make n 0.0)) ]
+  in
+  let w =
+    W.share_inputs
+      { W.name = "gather"; group = 2; metric = Gpr_quality.Quality.M_deviation; kernel;
+        launch = launch_1d ~block:32 ~grid:2; params = [| E.P_int 0 |];
+        data = inputs (fun k -> (k * 7) mod n); shared = []; extra_shared_bytes = 0;
+        output = W.Out_floats "out"; paper_regs = 0 }
+  in
+  let table = Array.make (E.count_static_instrs kernel) (Gpr_fp.Format_.of_level 4) in
+  let expect (v : W.t) =
+    let data = v.data () in
+    let bindings = E.bindings_for v.kernel ~data ~shared:v.shared () in
+    ignore (E.run v.kernel ~launch:v.launch ~params:v.params ~bindings
+              { E.default_config with quantize = Some table });
+    match List.assoc "out" data with E.F_data a -> a | E.I_data _ -> assert false
+  in
+  let check label (v : W.t) =
+    Alcotest.(check (array (float 0.0))) label (expect v) (W.run_quantized v ~quantize:table)
+  in
+  W.clear_tapes ();
+  check "records" w;
+  check "replays" w;
+  let other_data = { w with data = inputs (fun k -> (k * 5) mod n) } in
+  let other_shared = W.share_inputs other_data in
+  let other_params = { w with params = [| E.P_int 1 |] } in
+  Alcotest.(check bool) "inputs change the output" false
+    (expect w = expect other_data || expect w = expect other_params);
+  check "{ w with data }" other_data;
+  check "other kept inputs" other_shared;
+  check "other kept inputs, replayed" other_shared;
+  check "{ w with params }" other_params;
+  check "{ w with params }, replayed" other_params;
+  check "w again, recorded afresh" w;
+  check "w again, replayed" w;
+  W.clear_tapes ();
+  check "after clear_tapes" w
+
 (* ---------------------------------------------------------------- *)
 (* Errors stay run-time errors: an ill-typed immediate, a type mismatch
    or an out-of-bounds access raises only when the instruction executes
@@ -820,5 +1051,17 @@ let () =
           (fun ((name, _, _, _) as pin) ->
              Alcotest.test_case name `Quick (test_quantized_allocation pin))
           pins );
+      ( "interp alloc",
+        List.map
+          (fun ((name, _, _, _) as pin) ->
+             Alcotest.test_case name `Quick (test_interpreter_allocation pin))
+          pins );
+      ( "replay",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_replay_registry name))
+          Gpr_workloads.Registry.names
+        @ [ Alcotest.test_case "generated" `Quick test_replay_generated;
+            Alcotest.test_case "key" `Quick test_replay_key;
+            Alcotest.test_case "size bound" `Quick test_replay_bound ] );
       ("props", [ q prop_float_ops_match_reference ]);
     ]
